@@ -29,7 +29,7 @@ use tpp_host::{
 };
 use tpp_isa::programs;
 use tpp_netsim::{HostApp, HostCtx};
-use tpp_wire::ethernet::{build_frame, EtherType, Frame};
+use tpp_wire::ethernet::{build_frame, write_header, EtherType, Frame, ETHERNET_HEADER_LEN};
 use tpp_wire::EthernetAddress;
 
 const WORDS_PER_HOP: usize = programs::BONDING_WORDS_PER_HOP;
@@ -166,12 +166,9 @@ impl BondSender {
     fn send_probe_round(&mut self, ctx: &mut HostCtx<'_>) {
         let stamp = ctx.now().to_be_bytes();
         for path in 0..self.probes.len() {
-            let frame = self.probe.build_frame_with_payload(
-                self.cfg.dst,
-                ctx.mac(),
-                &stamp,
-                DATA_ETHERTYPE.0,
-            );
+            let frame = self
+                .probe
+                .pooled_frame(ctx, self.cfg.dst, &stamp, DATA_ETHERTYPE.0);
             let nonce = self.probes[path].track(frame, ctx);
             self.nonce_path.insert(nonce, path);
             self.probes_sent[path] += 1;
@@ -324,21 +321,19 @@ impl HostApp for BondSender {
     fn on_frame(&mut self, frame: Vec<u8>, ctx: &mut HostCtx<'_>) {
         if parse_echo(&frame, ctx.mac()).is_some() {
             self.on_probe_echo(&frame, ctx);
-            return;
-        }
-        let Ok(parsed) = Frame::new_checked(&frame[..]) else {
-            return;
-        };
-        let payload = parsed.payload();
-        if payload.len() >= 12 && &payload[0..4] == ACK_MAGIC {
-            let seq = u64::from_be_bytes(payload[4..12].try_into().expect("8"));
-            if self.unacked.remove(&seq).is_some() {
-                self.acked += 1;
-                let sent = self.first_send.get(&seq).copied().unwrap_or(ctx.now());
-                self.ack_latencies
-                    .push((sent, ctx.now().saturating_sub(sent)));
+        } else if let Ok(parsed) = Frame::new_checked(&frame[..]) {
+            let payload = parsed.payload();
+            if payload.len() >= 12 && &payload[0..4] == ACK_MAGIC {
+                let seq = u64::from_be_bytes(payload[4..12].try_into().expect("8"));
+                if self.unacked.remove(&seq).is_some() {
+                    self.acked += 1;
+                    let sent = self.first_send.get(&seq).copied().unwrap_or(ctx.now());
+                    self.ack_latencies
+                        .push((sent, ctx.now().saturating_sub(sent)));
+                }
             }
         }
+        ctx.recycle_frame(frame);
     }
 }
 
@@ -363,21 +358,27 @@ pub struct BondReceiver {
 
 impl HostApp for BondReceiver {
     fn on_frame(&mut self, frame: Vec<u8>, ctx: &mut HostCtx<'_>) {
-        if let Some(reply) = echo_reply(&frame, ctx.mac()) {
-            self.tpps_echoed += 1;
-            // Echo on the arrival NIC so the probe measures one path
-            // both ways.
-            ctx.send_on(ctx.rx_port(), reply);
-            return;
-        }
-        let Ok(parsed) = Frame::new_checked(&frame[..]) else {
+        let frame = match echo_reply(frame, ctx.mac()) {
+            Ok(reply) => {
+                self.tpps_echoed += 1;
+                // Echo on the arrival NIC so the probe measures one path
+                // both ways.
+                ctx.send_on(ctx.rx_port(), reply);
+                return;
+            }
+            Err(frame) => frame,
+        };
+        let data = Frame::new_checked(&frame[..]).ok().and_then(|parsed| {
+            let payload = parsed.payload();
+            (payload.len() >= 12 && &payload[0..4] == DATA_MAGIC).then(|| {
+                let seq = u64::from_be_bytes(payload[4..12].try_into().expect("8"));
+                (seq, parsed.src_addr())
+            })
+        });
+        ctx.recycle_frame(frame);
+        let Some((seq, src)) = data else {
             return;
         };
-        let payload = parsed.payload();
-        if payload.len() < 12 || &payload[0..4] != DATA_MAGIC {
-            return;
-        }
-        let seq = u64::from_be_bytes(payload[4..12].try_into().expect("8"));
         let port = ctx.rx_port();
         *self.rx_per_port.entry(port).or_insert(0) += 1;
         if self.seen.insert(seq) {
@@ -387,10 +388,10 @@ impl HostApp for BondReceiver {
         }
         // ACK every copy, on its arrival NIC: the original ACK may have
         // been lost with its path.
-        let mut ack = Vec::with_capacity(12);
-        ack.extend_from_slice(ACK_MAGIC);
-        ack.extend_from_slice(&seq.to_be_bytes());
-        let reply = build_frame(parsed.src_addr(), ctx.mac(), BOND_ETHERTYPE, &ack);
+        let mut reply = ctx.alloc_frame(ETHERNET_HEADER_LEN + 12);
+        write_header(&mut reply, src, ctx.mac(), BOND_ETHERTYPE);
+        reply.extend_from_slice(ACK_MAGIC);
+        reply.extend_from_slice(&seq.to_be_bytes());
         ctx.send_on(port, reply);
         self.acks_sent += 1;
     }

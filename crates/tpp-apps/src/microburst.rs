@@ -127,30 +127,35 @@ impl HostApp for MicroburstMonitor {
             return;
         }
         let stamp = ctx.now().to_be_bytes();
-        let frame = self.probe.build_frame_with_payload(
-            self.dst,
-            ctx.mac(),
-            &stamp,
-            tpp_host::DATA_ETHERTYPE.0,
-        );
+        let frame = self
+            .probe
+            .pooled_frame(ctx, self.dst, &stamp, tpp_host::DATA_ETHERTYPE.0);
         self.probes.track(frame, ctx);
         self.probes_sent += 1;
         ctx.set_timer(self.interval_ns, TIMER_PROBE);
     }
 
     fn on_frame(&mut self, frame: Vec<u8>, ctx: &mut HostCtx<'_>) {
-        match self.probes.on_frame(&frame, ctx) {
+        self.on_echo(&frame, ctx);
+        ctx.recycle_frame(frame);
+    }
+}
+
+impl MicroburstMonitor {
+    /// Record the samples of one received frame, if it is a fresh echo.
+    fn on_echo(&mut self, frame: &[u8], ctx: &mut HostCtx<'_>) {
+        match self.probes.on_frame(frame, ctx) {
             // A late sample is still a sample — it carries its own
             // send-time stamp, so the series stays correctly ordered.
             ProbeDelivery::Fresh { .. } | ProbeDelivery::Late { .. } => {}
             // But one probe must contribute exactly one sample per hop.
             ProbeDelivery::Duplicate { .. } | ProbeDelivery::NotAProbe => return,
         }
-        let Some(sample) = decode_echo(&frame, ctx.mac(), WORDS_PER_HOP) else {
+        let Some(sample) = decode_echo(frame, ctx.mac(), WORDS_PER_HOP) else {
             return;
         };
         // Recover the send-time stamp we embedded in the inner payload.
-        let t_ns = tpp_host::parse_echo(&frame, ctx.mac())
+        let t_ns = tpp_host::parse_echo(frame, ctx.mac())
             .map(|tpp| {
                 let inner = tpp.inner_payload();
                 if inner.len() >= 8 {

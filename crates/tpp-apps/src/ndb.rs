@@ -198,12 +198,9 @@ impl HostApp for NdbProbeSender {
             return;
         }
         let id = self.sent_ids.len() as u32;
-        let frame = self.probe.build_frame_with_payload(
-            self.dst,
-            ctx.mac(),
-            &id.to_be_bytes(),
-            DATA_ETHERTYPE.0,
-        );
+        let frame = self
+            .probe
+            .pooled_frame(ctx, self.dst, &id.to_be_bytes(), DATA_ETHERTYPE.0);
         ctx.send(frame);
         self.sent_ids.push(id);
         ctx.set_timer(self.interval_ns, TIMER_SEND);
@@ -222,7 +219,15 @@ pub struct TraceCollector {
 
 impl HostApp for TraceCollector {
     fn on_frame(&mut self, frame: Vec<u8>, ctx: &mut HostCtx<'_>) {
-        let Ok(parsed) = Frame::new_checked(&frame[..]) else {
+        self.collect(&frame, ctx.now());
+        ctx.recycle_frame(frame);
+    }
+}
+
+impl TraceCollector {
+    /// Decode one arriving frame into a trace, if it is an ndb probe.
+    fn collect(&mut self, frame: &[u8], now: u64) {
+        let Ok(parsed) = Frame::new_checked(frame) else {
             return;
         };
         if !parsed.is_tpp() {
@@ -254,7 +259,7 @@ impl HostApp for TraceCollector {
             .collect();
         self.traces.push(PathTrace {
             packet_id,
-            t_ns: ctx.now(),
+            t_ns: now,
             hops,
         });
     }

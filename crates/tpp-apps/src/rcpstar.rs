@@ -39,7 +39,8 @@
 use std::collections::BTreeMap;
 
 use tpp_host::{
-    decode_echo, PacedSender, ProbeBuilder, ProbeDelivery, ProbeManager, RetryPolicy, RttEstimator,
+    decode_echo, HopWords, PacedSender, ProbeBuilder, ProbeDelivery, ProbeManager, RetryPolicy,
+    RttEstimator,
 };
 use tpp_isa::{Assembler, SymbolTable, VirtAddr};
 use tpp_netsim::{HostApp, HostCtx};
@@ -143,8 +144,8 @@ pub struct RateEcho {
 /// comes from the registers the TPP gathered, not from simulator
 /// ground truth.
 pub fn decode_rate_echo(frame: &[u8], my_mac: EthernetAddress) -> Option<RateEcho> {
-    let sample = decode_echo(frame, my_mac, COLLECT_WORDS_PER_HOP)?;
     let tpp = tpp_host::parse_echo(frame, my_mac)?;
+    let hops = HopWords::new(&tpp, COLLECT_WORDS_PER_HOP)?;
     let inner = tpp.inner_payload();
     if inner.len() < 24 || inner[0..2] != [0xF1, 0xC7] {
         return None;
@@ -152,11 +153,16 @@ pub fn decode_rate_echo(frame: &[u8], my_mac: EthernetAddress) -> Option<RateEch
     let sent_ns = u64::from_be_bytes(inner[8..16].try_into().expect("length checked"));
     let key = u64::from_be_bytes(inner[16..24].try_into().expect("length checked"));
     let mut rate_bps: Option<u64> = None;
-    let mut epochs = Vec::with_capacity(sample.hops.len());
-    for hop in &sample.hops {
-        let [sid, _q, _rx, cap_kbps, reg_kbps, _ts, epoch] = hop.words[..7] else {
-            continue;
-        };
+    let mut epochs = Vec::with_capacity(hops.hop_count());
+    for hop in 0..hops.hop_count() {
+        // Words: switch id, queue, rx bytes, capacity, rate register,
+        // timestamp, boot epoch (see `collect_source`).
+        let (sid, cap_kbps, reg_kbps, epoch) = (
+            hops.word(hop, 0),
+            hops.word(hop, 3),
+            hops.word(hop, 4),
+            hops.word(hop, 6),
+        );
         epochs.push((sid, epoch));
         let cap = cap_kbps as u64 * 1_000;
         if cap == 0 {
@@ -359,7 +365,9 @@ impl RcpStarSender {
             return;
         }
         let now = ctx.now();
-        while let Some(frame) = self.sender.poll(now, ctx.mac()) {
+        while now >= self.sender.next_tx_ns() {
+            let mut frame = ctx.alloc_frame(self.sender.frame_len());
+            self.sender.poll_into(now, ctx.mac(), &mut frame);
             ctx.send(frame);
             if let Some(target) = self.config.stop_after_bytes {
                 if self.sender.bytes_sent >= target {
@@ -380,12 +388,9 @@ impl RcpStarSender {
             return;
         }
         let stamp = ctx.now().to_be_bytes();
-        let frame = self.collect_probe.build_frame_with_payload(
-            self.dst,
-            ctx.mac(),
-            &stamp,
-            tpp_host::DATA_ETHERTYPE.0,
-        );
+        let frame =
+            self.collect_probe
+                .pooled_frame(ctx, self.dst, &stamp, tpp_host::DATA_ETHERTYPE.0);
         self.probes.track(frame, ctx);
         ctx.set_timer(self.config.period_ns, TIMER_CONTROL);
     }
@@ -545,8 +550,8 @@ impl RcpStarSender {
             r_kbps,
             now_us,
         ]);
-        self.probes
-            .track(probe.build_frame(self.dst, ctx.mac()), ctx);
+        let frame = probe.pooled_frame(ctx, self.dst, &[], 0);
+        self.probes.track(frame, ctx);
         self.updates_sent += 1;
 
         // The flow itself obeys the minimum along the path.
@@ -593,6 +598,7 @@ impl HostApp for RcpStarSender {
             // twice (a double byte-counter delta would halve y(t)).
             ProbeDelivery::Duplicate { .. } | ProbeDelivery::NotAProbe => {}
         }
+        ctx.recycle_frame(frame);
     }
 }
 

@@ -83,27 +83,33 @@ impl HostApp for LinkHealthMonitor {
             return;
         }
         let stamp = ctx.now().to_be_bytes();
-        ctx.send(self.probe.build_frame_with_payload(
-            self.dst,
-            ctx.mac(),
-            &stamp,
-            tpp_host::DATA_ETHERTYPE.0,
-        ));
+        let frame = self
+            .probe
+            .pooled_frame(ctx, self.dst, &stamp, tpp_host::DATA_ETHERTYPE.0);
+        ctx.send(frame);
         self.probes_sent += 1;
         ctx.set_timer(self.interval_ns, TIMER_PROBE);
     }
 
     fn on_frame(&mut self, frame: Vec<u8>, ctx: &mut HostCtx<'_>) {
-        let Some(sample) = decode_echo(&frame, ctx.mac(), WORDS_PER_HOP) else {
+        self.on_echo(&frame, ctx.mac(), ctx.now());
+        ctx.recycle_frame(frame);
+    }
+}
+
+impl LinkHealthMonitor {
+    /// Record the samples of one received frame, if it is an echo.
+    fn on_echo(&mut self, frame: &[u8], my_mac: EthernetAddress, now: u64) {
+        let Some(sample) = decode_echo(frame, my_mac, WORDS_PER_HOP) else {
             return;
         };
-        let t_ns = tpp_host::parse_echo(&frame, ctx.mac())
+        let t_ns = tpp_host::parse_echo(frame, my_mac)
             .and_then(|tpp| {
                 let inner = tpp.inner_payload();
                 (inner.len() >= 8)
                     .then(|| u64::from_be_bytes(inner[0..8].try_into().expect("8 bytes")))
             })
-            .unwrap_or_else(|| ctx.now());
+            .unwrap_or(now);
         self.echoes_received += 1;
         for hop in sample.hops {
             self.samples.push(HealthSample {

@@ -458,7 +458,9 @@ impl ClosedFlowGenApp {
         let mac = ctx.mac();
         while let Some(seg) = st.sender.poll_send(now) {
             let hdr = st.sender.data_hdr(seg, now);
-            ctx.send(hdr.into_frame(st.dst, mac));
+            let mut frame = ctx.alloc_frame(hdr.frame_len());
+            hdr.write_frame(&mut frame, st.dst, mac);
+            ctx.send(frame);
             stats.segments_sent += 1;
         }
     }
@@ -501,12 +503,9 @@ impl ClosedFlowGenApp {
             }
             if st.next_probe_ns <= now {
                 let payload = rate_probe_payload(*key, now);
-                let frame = self.probe.build_frame_with_payload(
-                    st.dst,
-                    ctx.mac(),
-                    &payload,
-                    DATA_ETHERTYPE.0,
-                );
+                let frame = self
+                    .probe
+                    .pooled_frame(ctx, st.dst, &payload, DATA_ETHERTYPE.0);
                 ctx.send(frame);
                 self.stats.probes_sent += 1;
                 st.next_probe_ns = now + self.cfg.probe_period_ns.max(1);
@@ -558,7 +557,9 @@ impl ClosedFlowGenApp {
             self.stats.dup_segments_rx += 1;
         }
         let ack = rx.ack_hdr(hdr);
-        ctx.send(ack.into_frame(src, ctx.mac()));
+        let mut frame = ctx.alloc_frame(ack.frame_len());
+        ack.write_frame(&mut frame, src, ctx.mac());
+        ctx.send(frame);
         self.stats.acks_sent += 1;
         if out.complete && out.delivered > 0 {
             self.completions.push(Completion {
@@ -628,31 +629,35 @@ impl HostApp for ClosedFlowGenApp {
         self.service(ctx);
     }
 
+    /// Every frame is consumed here: segments and rate echoes are
+    /// decoded and their buffers recycled before the app reacts (so the
+    /// replies it sends reuse them), and executed probes are echoed in
+    /// place.
     fn on_frame(&mut self, frame: Vec<u8>, ctx: &mut HostCtx<'_>) {
-        let Ok(eth) = Frame::new_checked(&frame[..]) else {
+        let segment = Frame::new_checked(&frame[..])
+            .ok()
+            .filter(|eth| eth.ethertype() == TRANSPORT_ETHERTYPE)
+            .map(|eth| (SegmentHdr::decode(eth.payload()), eth.src_addr()));
+        if let Some((hdr, src)) = segment {
             ctx.recycle_frame(frame);
-            return;
-        };
-        if eth.ethertype() == TRANSPORT_ETHERTYPE {
-            if let Some(hdr) = SegmentHdr::decode(eth.payload()) {
-                let src = eth.src_addr();
-                match hdr.kind {
-                    transport::KIND_DATA => self.on_data(&hdr, src, ctx),
-                    transport::KIND_ACK => self.on_ack_frame(&hdr, ctx),
-                    _ => {}
-                }
+            match hdr {
+                Some(hdr) if hdr.kind == transport::KIND_DATA => self.on_data(&hdr, src, ctx),
+                Some(hdr) if hdr.kind == transport::KIND_ACK => self.on_ack_frame(&hdr, ctx),
+                _ => {}
             }
-            ctx.recycle_frame(frame);
             return;
         }
         if let Some(echo) = decode_rate_echo(&frame, ctx.mac()) {
+            ctx.recycle_frame(frame);
             self.on_rate_echo(echo, ctx);
-        } else if let Some(reply) = echo_reply(&frame, ctx.mac()) {
+            return;
+        }
+        match echo_reply(frame, ctx.mac()) {
             // Receiver role: reflect executed probes back out of the
             // NIC they arrived on (§2.2 Phase 1).
-            ctx.send_on(ctx.rx_port(), reply);
+            Ok(reply) => ctx.send_on(ctx.rx_port(), reply),
+            Err(frame) => ctx.recycle_frame(frame),
         }
-        ctx.recycle_frame(frame);
     }
 }
 

@@ -7,7 +7,8 @@
 //! * [`probe::ProbeBuilder`] — compile a program once, then mint TPP
 //!   frames (optionally piggy-backed on application payload);
 //! * [`probe::echo_reply`] — the receiver side of §2.2 Phase 1 ("the
-//!   receiver simply echos a fully executed TPP back to the sender");
+//!   receiver simply echos a fully executed TPP back to the sender"),
+//!   rewriting the received buffer in place;
 //! * [`EchoReceiver`] — a ready-made host app that echoes TPPs and sinks
 //!   data traffic, used as the receiver in the congestion-control
 //!   experiments;
@@ -45,7 +46,7 @@ pub use pacing::{PacedSender, TokenBucket};
 pub use probe::parse_echo;
 pub use probe::{echo_reply, ProbeBuilder, DATA_ETHERTYPE};
 pub use rtt::RttEstimator;
-pub use telemetry::{decode_echo, split_hops, HopView, PathSample};
+pub use telemetry::{decode_echo, split_hops, HopView, HopWords, PathSample};
 pub use transport::{
     segments_for, AckOutcome, DataSeg, FlowReceiver, FlowSender, RtoOutcome, RxOutcome, SegmentHdr,
     TransportConfig, TransportStats, TRANSPORT_ETHERTYPE,
@@ -73,16 +74,20 @@ pub struct EchoReceiver {
 
 impl HostApp for EchoReceiver {
     fn on_frame(&mut self, frame: Vec<u8>, ctx: &mut HostCtx<'_>) {
-        if let Some(reply) = echo_reply(&frame, ctx.mac()) {
-            self.tpps_echoed += 1;
-            // Reflect out of the NIC the probe arrived on, so on a
-            // multi-homed receiver the echo measures the same path.
-            ctx.send_on(ctx.rx_port(), reply);
-            return;
-        }
+        let frame = match echo_reply(frame, ctx.mac()) {
+            Ok(reply) => {
+                self.tpps_echoed += 1;
+                // Reflect out of the NIC the probe arrived on, so on a
+                // multi-homed receiver the echo measures the same path.
+                ctx.send_on(ctx.rx_port(), reply);
+                return;
+            }
+            Err(frame) => frame,
+        };
         if let Ok(parsed) = Frame::new_checked(&frame[..]) {
             self.data_frames += 1;
             self.data_bytes += parsed.payload().len() as u64;
         }
+        ctx.recycle_frame(frame);
     }
 }

@@ -136,9 +136,18 @@ pub struct ProbeStats {
 
 #[derive(Debug)]
 struct Outstanding {
-    frame: Vec<u8>,
+    /// Copy of the tracked frame for re-sending, drawn from the frame
+    /// pool; `None` when the policy allows no retries.
+    frame: Option<Vec<u8>>,
     attempt: u32,
     deadline_ns: u64,
+}
+
+/// A pooled copy of `frame`.
+fn pooled_copy(frame: &[u8], ctx: &mut HostCtx<'_>) -> Vec<u8> {
+    let mut copy = ctx.alloc_frame(frame.len());
+    copy.extend_from_slice(frame);
+    copy
 }
 
 /// Per-probe timeout/retry/dedup engine. See the module docs.
@@ -248,7 +257,9 @@ impl ProbeManager {
     }
 
     /// Append a nonce to `frame`, send it, and track it for retry.
-    /// Returns the nonce.
+    /// Returns the nonce. A copy for re-sending is kept (in a pooled
+    /// buffer, handed back once the probe is answered or expires) only
+    /// when the policy allows retries.
     pub fn track(&mut self, mut frame: Vec<u8>, ctx: &mut HostCtx<'_>) -> u64 {
         self.nonce_counter += 1;
         // host_id+1 keeps host 0's nonces distinct from a raw counter;
@@ -259,11 +270,12 @@ impl ProbeManager {
         );
         frame.extend_from_slice(&nonce.to_be_bytes());
         let deadline_ns = ctx.now() + self.backoff(nonce, 0);
-        ctx.send_on(self.port, frame.clone());
+        let retry_copy = (self.policy.max_retries > 0).then(|| pooled_copy(&frame, ctx));
+        ctx.send_on(self.port, frame);
         self.outstanding.insert(
             nonce,
             Outstanding {
-                frame,
+                frame: retry_copy,
                 attempt: 0,
                 deadline_ns,
             },
@@ -290,7 +302,10 @@ impl ProbeManager {
         let Some(nonce) = Self::frame_nonce(frame) else {
             return ProbeDelivery::NotAProbe;
         };
-        if self.outstanding.remove(&nonce).is_some() {
+        if let Some(o) = self.outstanding.remove(&nonce) {
+            if let Some(copy) = o.frame {
+                ctx.recycle_frame(copy);
+            }
             self.remember_completed(nonce);
             self.stats.delivered += 1;
             return ProbeDelivery::Fresh { nonce };
@@ -330,13 +345,16 @@ impl ProbeManager {
                 let attempt = o.attempt;
                 let backoff = RetryPolicy::backoff_of(self.policy, nonce, attempt);
                 o.deadline_ns = now + backoff;
-                let frame = o.frame.clone();
+                let copy = o.frame.as_deref().expect("kept when retries are allowed");
+                let frame = pooled_copy(copy, ctx);
                 ctx.send_on(self.port, frame);
                 self.stats.retries += 1;
                 self.emit(ctx.now(), 0, TraceEventKind::ProbeRetry { nonce, attempt });
             } else {
                 let retries = o.attempt;
-                self.outstanding.remove(&nonce);
+                if let Some(copy) = self.outstanding.remove(&nonce).and_then(|o| o.frame) {
+                    ctx.recycle_frame(copy);
+                }
                 self.expired.insert(nonce);
                 // Bound the expired set the same way as the completed
                 // one: echoes older than the memory window are dropped
@@ -511,6 +529,24 @@ mod tests {
         assert_eq!(t.expired, 0);
         assert_eq!(t.mgr.stats().retries, 0);
         assert_eq!(t.mgr.outstanding(), 0);
+    }
+
+    #[test]
+    fn retry_copy_is_pooled_only_when_a_retry_can_happen() {
+        // Retries allowed: one pooled copy, handed back on delivery.
+        let (mut sim, h0) = two_hosts(RetryPolicy::default());
+        sim.run(RunLimit::Until(time::secs(1)));
+        assert_eq!(sim.host_app::<Tracker>(h0).fresh, 1);
+        assert_eq!(sim.frame_pool_stats(), (0, 1, 1));
+        // Single shot: nothing is copied at all.
+        let single_shot = RetryPolicy {
+            max_retries: 0,
+            ..RetryPolicy::default()
+        };
+        let (mut sim, h0) = two_hosts(single_shot);
+        sim.run(RunLimit::Until(time::secs(1)));
+        assert_eq!(sim.host_app::<Tracker>(h0).fresh, 1);
+        assert_eq!(sim.frame_pool_stats(), (0, 0, 0));
     }
 
     #[test]

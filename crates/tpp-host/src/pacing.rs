@@ -8,8 +8,8 @@
 //! where strict pacing is not wanted.
 
 use crate::probe::DATA_ETHERTYPE;
-use tpp_wire::ethernet::build_frame;
-use tpp_wire::EthernetAddress;
+use tpp_wire::ethernet::write_header;
+use tpp_wire::{EthernetAddress, ETHERNET_HEADER_LEN};
 
 /// A classic token bucket: `rate_bps` sustained, `burst_bytes` of slack.
 #[derive(Debug, Clone)]
@@ -136,14 +136,29 @@ impl PacedSender {
         self.next_tx_ns
     }
 
+    /// Length of every frame this sender releases — the capacity to ask
+    /// `HostCtx::alloc_frame` for.
+    pub fn frame_len(&self) -> usize {
+        ETHERNET_HEADER_LEN + self.payload_len
+    }
+
     /// Release the next frame if it is due. At most one frame per call;
     /// callers loop if they polled late and want to catch up.
     pub fn poll(&mut self, now_ns: u64, src: EthernetAddress) -> Option<Vec<u8>> {
+        let mut frame = Vec::new();
+        self.poll_into(now_ns, src, &mut frame).then_some(frame)
+    }
+
+    /// [`poll`](Self::poll), appending the frame to `buf` (normally an
+    /// empty pooled buffer). Returns whether a frame was due and written.
+    pub fn poll_into(&mut self, now_ns: u64, src: EthernetAddress, buf: &mut Vec<u8>) -> bool {
         if now_ns < self.next_tx_ns {
-            return None;
+            return false;
         }
-        let mut payload = vec![0u8; self.payload_len];
-        payload[0..4].copy_from_slice(&self.seq.to_be_bytes());
+        buf.reserve(self.frame_len());
+        write_header(buf, self.dst, src, DATA_ETHERTYPE);
+        buf.extend_from_slice(&self.seq.to_be_bytes());
+        buf.resize(buf.len() + self.payload_len - 4, 0);
         self.seq = self.seq.wrapping_add(1);
         self.bytes_sent += self.payload_len as u64;
         self.frames_sent += 1;
@@ -152,7 +167,7 @@ impl PacedSender {
         if self.next_tx_ns + self.gap_ns() < now_ns {
             self.next_tx_ns = now_ns + self.gap_ns();
         }
-        Some(build_frame(self.dst, src, DATA_ETHERTYPE, &payload))
+        true
     }
 }
 

@@ -4,11 +4,19 @@
 //! packets, or using additional probe packets". Both are supported: a
 //! [`ProbeBuilder`] mints stand-alone probes, or piggy-backs the TPP onto
 //! an application datagram via [`ProbeBuilder::build_frame_with_payload`].
+//! Hot senders write probes straight into a pooled buffer with
+//! [`ProbeBuilder::build_into`], and receivers echo in place with
+//! [`echo_reply`], so a probe's round trip need not allocate.
 
 use tpp_isa::Program;
-use tpp_wire::ethernet::{build_frame, EtherType, Frame};
-use tpp_wire::tpp::{AddressingMode, TppBuilder, TppPacket, FLAG_ECHOED, FLAG_EXECUTED};
-use tpp_wire::EthernetAddress;
+use tpp_netsim::HostCtx;
+use tpp_wire::ethernet::{write_header, EtherType, Frame};
+use tpp_wire::tpp::{
+    AddressingMode, TppPacket, TppSection, FLAG_ECHOED, FLAG_EXECUTED, TPP_HEADER_LEN, WORD_SIZE,
+};
+use tpp_wire::{EthernetAddress, ETHERNET_HEADER_LEN};
+
+use crate::manager::NONCE_LEN;
 
 /// EtherType used for plain (non-TPP) application data frames in the
 /// reproduction's experiments. Deliberately not 0x0800: the payloads are
@@ -68,13 +76,66 @@ impl ProbeBuilder {
         self.mem_words.max(self.init.len())
     }
 
+    /// Bytes to reserve for a probe carrying `payload_len` payload
+    /// bytes: the whole frame plus the nonce [`ProbeManager::track`]
+    /// appends, so tracking never reallocates.
+    ///
+    /// [`ProbeManager::track`]: crate::ProbeManager::track
+    pub fn frame_capacity(&self, payload_len: usize) -> usize {
+        ETHERNET_HEADER_LEN
+            + TPP_HEADER_LEN
+            + (self.words.len() + self.mem_words()) * WORD_SIZE
+            + payload_len
+            + NONCE_LEN
+    }
+
+    /// Append a probe frame piggy-backed on `payload` (of EtherType
+    /// `inner_ethertype`, 0 for none) to `buf` in one pass — normally an
+    /// empty buffer from `HostCtx::alloc_frame`. Reserves
+    /// [`frame_capacity`](Self::frame_capacity) bytes.
+    pub fn build_into(
+        &self,
+        buf: &mut Vec<u8>,
+        dst: EthernetAddress,
+        src: EthernetAddress,
+        payload: &[u8],
+        inner_ethertype: u16,
+    ) {
+        buf.reserve(self.frame_capacity(payload.len()));
+        write_header(buf, dst, src, EtherType::TPP);
+        TppSection {
+            mode: self.mode,
+            instructions: &self.words,
+            memory_init: &self.init,
+            memory_words: self.mem_words,
+            per_hop_len: self.per_hop_words * WORD_SIZE,
+            payload,
+            inner_ethertype,
+        }
+        .write_into(buf);
+    }
+
+    /// [`build_into`](Self::build_into) a buffer drawn from the
+    /// simulator's frame pool, addressed from this host to `dst`.
+    pub fn pooled_frame(
+        &self,
+        ctx: &mut HostCtx<'_>,
+        dst: EthernetAddress,
+        payload: &[u8],
+        inner_ethertype: u16,
+    ) -> Vec<u8> {
+        let mut buf = ctx.alloc_frame(self.frame_capacity(payload.len()));
+        self.build_into(&mut buf, dst, ctx.mac(), payload, inner_ethertype);
+        buf
+    }
+
     /// Build a stand-alone probe frame.
     pub fn build_frame(&self, dst: EthernetAddress, src: EthernetAddress) -> Vec<u8> {
         self.build_frame_with_payload(dst, src, &[], 0)
     }
 
     /// Build a probe piggy-backed on application payload of the given
-    /// inner EtherType.
+    /// inner EtherType, in a freshly allocated buffer.
     pub fn build_frame_with_payload(
         &self,
         dst: EthernetAddress,
@@ -82,46 +143,43 @@ impl ProbeBuilder {
         payload: &[u8],
         inner_ethertype: u16,
     ) -> Vec<u8> {
-        let mut memory = self.init.clone();
-        memory.resize(self.mem_words(), 0);
-        let tpp = TppBuilder::new(self.mode)
-            .instructions(&self.words)
-            .memory_init(&memory)
-            .per_hop_words(self.per_hop_words)
-            .payload(payload)
-            .inner_ethertype(inner_ethertype)
-            .build();
-        build_frame(dst, src, EtherType::TPP, &tpp)
+        let mut buf = Vec::new();
+        self.build_into(&mut buf, dst, src, payload, inner_ethertype);
+        buf
     }
 }
 
 /// If `frame` is an executed, not-yet-echoed TPP addressed to `my_mac`,
-/// build the echo: source and destination swapped, [`FLAG_ECHOED`] set,
-/// contents untouched. Returns `None` for anything else.
+/// rewrite it in place into the echo — source and destination swapped,
+/// [`FLAG_ECHOED`] set, contents untouched — and return it as `Ok`.
+/// Anything else comes back byte-for-byte untouched as `Err`, so the
+/// caller can look at it or recycle it.
 ///
 /// "The receiver simply echos a fully executed TPP back to the sender"
 /// (§2.2 Phase 1). Filtering on [`FLAG_ECHOED`] keeps a sender from
 /// re-echoing its own echo.
-pub fn echo_reply(frame: &[u8], my_mac: EthernetAddress) -> Option<Vec<u8>> {
-    let parsed = Frame::new_checked(frame).ok()?;
-    if !parsed.is_tpp() || parsed.dst_addr() != my_mac {
-        return None;
-    }
-    let tpp = TppPacket::new_checked(parsed.payload()).ok()?;
-    let flags = tpp.flags();
-    if flags & FLAG_EXECUTED == 0 || flags & FLAG_ECHOED != 0 {
-        return None;
-    }
-    let mut reply = frame.to_vec();
-    {
-        let mut out = Frame::new_unchecked(&mut reply[..]);
-        let orig_src = parsed.src_addr();
-        out.set_dst_addr(orig_src);
-        out.set_src_addr(my_mac);
-        let mut tpp_out = TppPacket::new_unchecked(out.payload_mut());
-        tpp_out.set_flags(flags | FLAG_ECHOED);
-    }
-    Some(reply)
+pub fn echo_reply(mut frame: Vec<u8>, my_mac: EthernetAddress) -> Result<Vec<u8>, Vec<u8>> {
+    let (orig_src, flags) = {
+        let Ok(parsed) = Frame::new_checked(&frame[..]) else {
+            return Err(frame);
+        };
+        if !parsed.is_tpp() || parsed.dst_addr() != my_mac {
+            return Err(frame);
+        }
+        let Ok(tpp) = TppPacket::new_checked(parsed.payload()) else {
+            return Err(frame);
+        };
+        let flags = tpp.flags();
+        if flags & FLAG_EXECUTED == 0 || flags & FLAG_ECHOED != 0 {
+            return Err(frame);
+        }
+        (parsed.src_addr(), flags)
+    };
+    let mut out = Frame::new_unchecked(&mut frame[..]);
+    out.set_dst_addr(orig_src);
+    out.set_src_addr(my_mac);
+    TppPacket::new_unchecked(out.payload_mut()).set_flags(flags | FLAG_ECHOED);
+    Ok(frame)
 }
 
 /// Parse an incoming frame as an echoed TPP addressed to `my_mac`,
@@ -143,6 +201,7 @@ pub fn parse_echo(frame: &[u8], my_mac: EthernetAddress) -> Option<TppPacket<&[u
 mod tests {
     use super::*;
     use tpp_isa::assemble;
+    use tpp_wire::ethernet::build_frame;
 
     fn macs() -> (EthernetAddress, EthernetAddress) {
         (
@@ -185,8 +244,8 @@ mod tests {
         let (dst, src) = macs();
         let frame = probe.build_frame(dst, src);
 
-        // Not yet executed: no echo.
-        assert!(echo_reply(&frame, dst).is_none());
+        // Not yet executed: no echo, and the frame comes back as is.
+        assert_eq!(echo_reply(frame.clone(), dst), Err(frame.clone()));
 
         // Mark executed (as a TCPU would).
         let mut executed = frame.clone();
@@ -196,16 +255,16 @@ mod tests {
             tpp.set_flags(FLAG_EXECUTED);
         }
         // Wrong recipient: no echo.
-        assert!(echo_reply(&executed, src).is_none());
+        assert!(echo_reply(executed.clone(), src).is_err());
         // Right recipient: echo with swapped addresses and ECHOED flag.
-        let reply = echo_reply(&executed, dst).unwrap();
+        let reply = echo_reply(executed, dst).unwrap();
         let parsed = Frame::new_checked(&reply[..]).unwrap();
         assert_eq!(parsed.dst_addr(), src);
         assert_eq!(parsed.src_addr(), dst);
         let tpp = TppPacket::new_checked(parsed.payload()).unwrap();
         assert_ne!(tpp.flags() & FLAG_ECHOED, 0);
         // An echo is never echoed again.
-        assert!(echo_reply(&reply, src).is_none());
+        assert!(echo_reply(reply.clone(), src).is_err());
         // And the original sender can parse it.
         assert!(parse_echo(&reply, src).is_some());
         assert!(parse_echo(&reply, dst).is_none());
@@ -227,7 +286,7 @@ mod tests {
     fn non_tpp_frames_are_ignored() {
         let (dst, src) = macs();
         let frame = build_frame(dst, src, DATA_ETHERTYPE, b"x");
-        assert!(echo_reply(&frame, dst).is_none());
+        assert!(echo_reply(frame.clone(), dst).is_err());
         assert!(parse_echo(&frame, dst).is_none());
     }
 }

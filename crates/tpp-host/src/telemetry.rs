@@ -6,8 +6,64 @@
 //! turns the stack into `hop` consecutive `k`-word records.
 
 use tpp_telemetry::{TraceEvent, TraceEventKind, TraceSink};
-use tpp_wire::tpp::TppPacket;
+use tpp_wire::tpp::{TppPacket, WORD_SIZE};
 use tpp_wire::EthernetAddress;
+
+/// Allocation-free view of an executed stack-mode TPP as per-hop
+/// records of `words_per_hop` words, read straight from packet memory.
+///
+/// [`HopWords::new`] holds the one validation rule every decoder
+/// shares; [`split_hops`] copies the view into an owned [`PathSample`],
+/// while per-packet decoders read words through [`HopWords::word`].
+#[derive(Debug, Clone, Copy)]
+pub struct HopWords<'a> {
+    stack: &'a [u8],
+    words_per_hop: usize,
+}
+
+impl<'a> HopWords<'a> {
+    /// View `tpp`'s stack as hop records.
+    ///
+    /// Returns `None` when `words_per_hop` is 0, or the stack length is
+    /// not an exact multiple of `words_per_hop`, or disagrees with the
+    /// hop counter — which means the packet was corrupted, the program
+    /// faulted mid-hop, or the caller's `words_per_hop` is wrong.
+    /// Callers treat `None` as a lost sample.
+    pub fn new<T: AsRef<[u8]>>(tpp: &'a TppPacket<T>, words_per_hop: usize) -> Option<Self> {
+        if words_per_hop == 0 {
+            return None;
+        }
+        // `sp` is clamped to packet memory, as in `stack_words`: a
+        // corrupted stack pointer degrades to a short read.
+        let memory = tpp.memory();
+        let words = tpp.sp().min(memory.len()) / WORD_SIZE;
+        if !words.is_multiple_of(words_per_hop) || words / words_per_hop != tpp.hop() as usize {
+            return None;
+        }
+        Some(HopWords {
+            stack: &memory[..words * WORD_SIZE],
+            words_per_hop,
+        })
+    }
+
+    /// Hops recorded.
+    pub fn hop_count(&self) -> usize {
+        self.stack.len() / (self.words_per_hop * WORD_SIZE)
+    }
+
+    /// Word `i` of hop `hop`, in program push order. Panics when `hop`
+    /// or `i` is out of range.
+    pub fn word(&self, hop: usize, i: usize) -> u32 {
+        assert!(i < self.words_per_hop, "word {i} past the hop record");
+        let at = (hop * self.words_per_hop + i) * WORD_SIZE;
+        u32::from_be_bytes(self.stack[at..at + WORD_SIZE].try_into().expect("one word"))
+    }
+
+    /// The words of hop `hop`, copied out.
+    fn hop_words(&self, hop: usize) -> Vec<u32> {
+        (0..self.words_per_hop).map(|i| self.word(hop, i)).collect()
+    }
+}
 
 /// One hop's worth of words, in program push order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,30 +122,15 @@ impl PathSample {
 }
 
 /// Split an executed stack-mode TPP into per-hop records of
-/// `words_per_hop` words.
-///
-/// Returns `None` when the stack length is not an exact multiple of
-/// `words_per_hop` or disagrees with the hop counter — which means the
-/// packet was corrupted, the program faulted mid-hop, or the caller's
-/// `words_per_hop` is wrong. Callers treat `None` as a lost sample.
+/// `words_per_hop` words — an owned copy of [`HopWords`], and `None`
+/// exactly when [`HopWords::new`] rejects the packet.
 pub fn split_hops<T: AsRef<[u8]>>(tpp: &TppPacket<T>, words_per_hop: usize) -> Option<PathSample> {
-    if words_per_hop == 0 {
-        return None;
-    }
-    let words = tpp.stack_words();
-    if !words.len().is_multiple_of(words_per_hop) {
-        return None;
-    }
-    let hop_count = words.len() / words_per_hop;
-    if hop_count != tpp.hop() as usize {
-        return None;
-    }
-    let hops = words
-        .chunks(words_per_hop)
-        .enumerate()
-        .map(|(hop, chunk)| HopView {
+    let view = HopWords::new(tpp, words_per_hop)?;
+    let hop_count = view.hop_count();
+    let hops = (0..hop_count)
+        .map(|hop| HopView {
             hop,
-            words: chunk.to_vec(),
+            words: view.hop_words(hop),
         })
         .collect();
     Some(PathSample { hops, hop_count })
@@ -145,6 +186,23 @@ mod tests {
         assert_eq!(sample.column(1), vec![10, 20, 30]);
         assert_eq!(sample.argmax_column(1).unwrap().hop, 2);
         assert_eq!(sample.argmin_column(1).unwrap().words, vec![1, 10]);
+    }
+
+    #[test]
+    fn hop_words_view_reads_what_split_hops_copies() {
+        let bytes = executed_tpp(&[1, 10, 2, 20, 3, 30], 3, 8);
+        let tpp = TppPacket::new_checked(&bytes[..]).unwrap();
+        let view = HopWords::new(&tpp, 2).unwrap();
+        let sample = split_hops(&tpp, 2).unwrap();
+        assert_eq!(view.hop_count(), sample.hop_count);
+        for h in &sample.hops {
+            assert_eq!(h.words, [view.word(h.hop, 0), view.word(h.hop, 1)]);
+        }
+        // One validation rule: the view rejects what split_hops rejects.
+        let partial = executed_tpp(&[1, 10, 2], 2, 8);
+        let tpp = TppPacket::new_checked(&partial[..]).unwrap();
+        assert!(HopWords::new(&tpp, 2).is_none());
+        assert!(HopWords::new(&tpp, 0).is_none());
     }
 
     #[test]

@@ -46,7 +46,7 @@
 use std::collections::BTreeSet;
 
 use crate::rtt::RttEstimator;
-use tpp_wire::ethernet::{build_frame, EtherType, EthernetAddress};
+use tpp_wire::ethernet::{write_header, EtherType, EthernetAddress, ETHERNET_HEADER_LEN};
 
 /// EtherType of transport segments (DATA and ACK), distinct from the
 /// open-loop workload's [`DATA_ETHERTYPE`](crate::DATA_ETHERTYPE).
@@ -162,26 +162,41 @@ pub struct SegmentHdr {
 }
 
 impl SegmentHdr {
-    /// Serialize into an Ethernet payload (header plus a zeroed body
-    /// for data segments — the workload carries no real bytes).
-    pub fn encode(&self) -> Vec<u8> {
-        let body = if self.kind == KIND_DATA {
+    /// Body bytes carried on the wire: `body_len` for DATA, none for an
+    /// ACK.
+    fn wire_body(&self) -> usize {
+        if self.kind == KIND_DATA {
             self.body_len as usize
         } else {
             0
-        };
-        let mut p = vec![0u8; HDR_LEN + body];
-        p[0..2].copy_from_slice(&MAGIC);
-        p[2] = self.kind;
-        p[3] = self.flags;
-        p[4..8].copy_from_slice(&self.total_bytes.to_be_bytes());
-        p[8..16].copy_from_slice(&self.start_ns.to_be_bytes());
-        p[16..24].copy_from_slice(&self.key.to_be_bytes());
-        p[24..28].copy_from_slice(&self.seq.to_be_bytes());
-        p[28..32].copy_from_slice(&self.ack.to_be_bytes());
-        p[32..40].copy_from_slice(&self.ts.to_be_bytes());
-        p[40..42].copy_from_slice(&self.body_len.to_be_bytes());
-        p
+        }
+    }
+
+    /// Length of the frame [`write_frame`](Self::write_frame) appends —
+    /// the capacity to ask `HostCtx::alloc_frame` for.
+    pub fn frame_len(&self) -> usize {
+        ETHERNET_HEADER_LEN + HDR_LEN + self.wire_body()
+    }
+
+    /// Append the full Ethernet frame of this segment to `buf` in one
+    /// pass: Ethernet header, transport header, then a zeroed body for
+    /// data segments (the workload carries no real bytes).
+    pub fn write_frame(&self, buf: &mut Vec<u8>, dst: EthernetAddress, src: EthernetAddress) {
+        buf.reserve(self.frame_len());
+        write_header(buf, dst, src, TRANSPORT_ETHERTYPE);
+        let mut h = [0u8; HDR_LEN];
+        h[0..2].copy_from_slice(&MAGIC);
+        h[2] = self.kind;
+        h[3] = self.flags;
+        h[4..8].copy_from_slice(&self.total_bytes.to_be_bytes());
+        h[8..16].copy_from_slice(&self.start_ns.to_be_bytes());
+        h[16..24].copy_from_slice(&self.key.to_be_bytes());
+        h[24..28].copy_from_slice(&self.seq.to_be_bytes());
+        h[28..32].copy_from_slice(&self.ack.to_be_bytes());
+        h[32..40].copy_from_slice(&self.ts.to_be_bytes());
+        h[40..42].copy_from_slice(&self.body_len.to_be_bytes());
+        buf.extend_from_slice(&h);
+        buf.resize(buf.len() + self.wire_body(), 0);
     }
 
     /// Parse an Ethernet payload; `None` if it is not a transport
@@ -203,11 +218,6 @@ impl SegmentHdr {
             ts: be64(32),
             body_len: u16::from_be_bytes([p[40], p[41]]),
         })
-    }
-
-    /// Build the full Ethernet frame for this header.
-    pub fn into_frame(self, dst: EthernetAddress, src: EthernetAddress) -> Vec<u8> {
-        build_frame(dst, src, TRANSPORT_ETHERTYPE, &self.encode())
     }
 }
 
@@ -392,7 +402,7 @@ impl FlowSender {
     /// Wire bytes of one full-MSS segment (Ethernet + transport header
     /// + body) — the unit the rate clamp converts bits/s into segments.
     fn wire_seg_bytes(&self) -> u64 {
-        14 + HDR_LEN as u64 + self.cfg.mss as u64
+        (ETHERNET_HEADER_LEN + HDR_LEN) as u64 + self.cfg.mss as u64
     }
 
     /// The effective window: additive-increase cwnd clamped by the
@@ -795,9 +805,12 @@ mod tests {
             ts: 9_999,
             body_len: 100,
         };
-        let p = hdr.encode();
+        let mut frame = Vec::new();
+        hdr.write_frame(&mut frame, EthernetAddress([1; 6]), EthernetAddress([2; 6]));
+        assert_eq!(frame.len(), hdr.frame_len());
+        let p = &frame[ETHERNET_HEADER_LEN..];
         assert_eq!(p.len(), HDR_LEN + 100);
-        assert_eq!(SegmentHdr::decode(&p), Some(hdr));
+        assert_eq!(SegmentHdr::decode(p), Some(hdr));
         // The flow label convention lines up with the ECMP extractor.
         assert_eq!(&p[0..2], &MAGIC);
         assert_eq!(

@@ -19,8 +19,12 @@
 //! The API follows the zero-copy typed-view idiom: [`ethernet::Frame`] and
 //! [`tpp::TppPacket`] wrap any `AsRef<[u8]>` buffer, validate it once with
 //! `new_checked`, and then expose cheap field accessors. Mutation is only
-//! available when the underlying buffer is `AsMut<[u8]>`. Nothing in this
-//! crate allocates except the explicit [`tpp::TppBuilder`].
+//! available when the underlying buffer is `AsMut<[u8]>`. Frames are
+//! encoded by append-style writers ([`ethernet::write_header`],
+//! [`tpp::TppSection::write_into`]) into a caller's buffer, typically a
+//! pooled one; nothing in this crate allocates except the `Vec`-returning
+//! wrappers over them ([`tpp::TppBuilder::build`],
+//! [`ethernet::build_frame`]).
 //!
 //! Design constraints taken from the paper:
 //! * all memory lengths are 4-byte aligned "for efficient encoding" (Fig. 4);
@@ -41,7 +45,7 @@ pub mod tpp;
 
 pub use ethernet::{EtherType, EthernetAddress, Frame, ETHERNET_HEADER_LEN};
 pub use ipv4::{build_ipv4, Ipv4Address, Ipv4Packet, IPV4_MIN_HEADER_LEN};
-pub use tpp::{AddressingMode, TppBuilder, TppPacket, ETHERTYPE_TPP, TPP_HEADER_LEN};
+pub use tpp::{AddressingMode, TppBuilder, TppPacket, TppSection, ETHERTYPE_TPP, TPP_HEADER_LEN};
 
 /// Errors produced when parsing or manipulating wire formats.
 ///

@@ -456,41 +456,98 @@ impl TppBuilder {
         self
     }
 
+    /// Borrowed view of this builder's fields, ready to encode.
+    fn section(&self) -> TppSection<'_> {
+        TppSection {
+            mode: self.mode,
+            instructions: &self.instructions,
+            memory_init: &self.memory,
+            memory_words: self.memory.len(),
+            per_hop_len: self.per_hop_len,
+            payload: &self.payload,
+            inner_ethertype: self.inner_ethertype,
+        }
+    }
+
     /// Serialize to bytes (the Ethernet payload of a TPP frame).
+    ///
+    /// # Panics
+    /// As [`TppSection::write_into`].
+    pub fn build(&self) -> Vec<u8> {
+        let section = self.section();
+        let mut buf = Vec::with_capacity(section.wire_len());
+        section.write_into(&mut buf);
+        buf
+    }
+}
+
+/// A TPP section described by borrowed parts: the one TPP encoder.
+/// [`TppBuilder`] owns its parts and delegates here; end-host probe
+/// builders fill one in per probe without allocating and append it to a
+/// pooled frame buffer.
+#[derive(Debug, Clone, Copy)]
+pub struct TppSection<'a> {
+    /// Packet-memory addressing mode.
+    pub mode: AddressingMode,
+    /// Instruction words (already encoded by `tpp-isa`).
+    pub instructions: &'a [u32],
+    /// Initial words at the head of packet memory.
+    pub memory_init: &'a [u32],
+    /// Total packet-memory words (raised to `memory_init.len()` if
+    /// smaller); the words past `memory_init` are zeroed.
+    pub memory_words: usize,
+    /// Per-hop memory length in bytes (hop addressing mode).
+    pub per_hop_len: usize,
+    /// Encapsulated payload following packet memory.
+    pub payload: &'a [u8],
+    /// EtherType of the encapsulated payload (0 when there is none).
+    pub inner_ethertype: u16,
+}
+
+impl TppSection<'_> {
+    /// Packet-memory words actually encoded.
+    fn mem_words(&self) -> usize {
+        self.memory_words.max(self.memory_init.len())
+    }
+
+    /// Serialized length in bytes, payload included.
+    fn wire_len(&self) -> usize {
+        TPP_HEADER_LEN
+            + (self.instructions.len() + self.mem_words()) * WORD_SIZE
+            + self.payload.len()
+    }
+
+    /// Append the section (header, instructions, packet memory, payload)
+    /// to `buf` in one pass. Flags, hop and stack pointer start at zero.
     ///
     /// # Panics
     /// Panics if the program exceeds [`MAX_INSTRUCTIONS`] or any section
     /// exceeds the 16-bit length fields; both are programmer errors at
     /// packet construction time, not wire-input errors.
-    pub fn build(&self) -> Vec<u8> {
+    pub fn write_into(&self, buf: &mut Vec<u8>) {
         assert!(
             self.instructions.len() <= MAX_INSTRUCTIONS,
             "TPP limited to {MAX_INSTRUCTIONS} instructions"
         );
         let insn_len = self.instructions.len() * WORD_SIZE;
-        let mem_len = self.memory.len() * WORD_SIZE;
+        let mem_len = self.mem_words() * WORD_SIZE;
         let tpp_len = TPP_HEADER_LEN + insn_len + mem_len;
         assert!(tpp_len <= u16::MAX as usize, "TPP section too large");
-        let mut buf = vec![0u8; tpp_len + self.payload.len()];
-        buf[0] = 1; // version
-        buf[1] = 0; // flags
-        put_u16(&mut buf, 2, tpp_len as u16);
-        put_u16(&mut buf, 4, insn_len as u16);
-        put_u16(&mut buf, 6, mem_len as u16);
-        buf[8] = self.mode.to_wire();
-        buf[9] = 0; // hop
-        put_u16(&mut buf, 10, 0); // sp
-        put_u16(&mut buf, 12, self.per_hop_len as u16);
-        put_u16(&mut buf, 14, self.inner_ethertype);
-        for (i, word) in self.instructions.iter().enumerate() {
-            put_u32(&mut buf, TPP_HEADER_LEN + i * WORD_SIZE, *word);
+        buf.reserve(tpp_len + self.payload.len());
+        let mut header = [0u8; TPP_HEADER_LEN];
+        header[0] = 1; // version; flags, hop and sp stay 0
+        put_u16(&mut header, 2, tpp_len as u16);
+        put_u16(&mut header, 4, insn_len as u16);
+        put_u16(&mut header, 6, mem_len as u16);
+        header[8] = self.mode.to_wire();
+        put_u16(&mut header, 12, self.per_hop_len as u16);
+        put_u16(&mut header, 14, self.inner_ethertype);
+        buf.extend_from_slice(&header);
+        for word in self.instructions.iter().chain(self.memory_init) {
+            buf.extend_from_slice(&word.to_be_bytes());
         }
-        let mem_base = TPP_HEADER_LEN + insn_len;
-        for (i, word) in self.memory.iter().enumerate() {
-            put_u32(&mut buf, mem_base + i * WORD_SIZE, *word);
-        }
-        buf[tpp_len..].copy_from_slice(&self.payload);
-        buf
+        buf.resize(buf.len() + mem_len - self.memory_init.len() * WORD_SIZE, 0);
+        buf.extend_from_slice(self.payload);
     }
 }
 

@@ -79,10 +79,10 @@ struct Station {
 
 impl HostApp for Station {
     fn on_frame(&mut self, frame: Vec<u8>, ctx: &mut HostCtx<'_>) {
-        if let Some(reply) = tpp::host::echo_reply(&frame, ctx.mac()) {
-            ctx.send(reply);
-            return;
-        }
+        let frame = match tpp::host::echo_reply(frame, ctx.mac()) {
+            Ok(reply) => return ctx.send(reply),
+            Err(frame) => frame,
+        };
         if let Ok(parsed) = Frame::new_checked(&frame[..]) {
             if parsed.ethertype() == DATA_ETHERTYPE && parsed.payload().len() >= 4 {
                 let seq = u32::from_be_bytes(parsed.payload()[0..4].try_into().unwrap());
