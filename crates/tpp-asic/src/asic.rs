@@ -11,7 +11,7 @@
 //! `now_ns` it is handed, which keeps the whole system deterministic.
 
 use crate::config::{AsicConfig, PortConfig, StripAction};
-use crate::decode_cache::ProgramInterner;
+use crate::interner::ProgramInterner;
 use crate::memmap::Mmu;
 pub use crate::memmap::PacketMeta;
 use crate::profile::{
@@ -271,10 +271,6 @@ pub struct Asic {
     /// (the default) keeps every stage's attribution down to one
     /// branch, like the trace sink.
     profile: Option<Box<PipelineProfile>>,
-    /// Fleet-wide program interner handle, kept so `reset` can re-install
-    /// it into the rebuilt TCPU (a reboot wipes the decode cache, not the
-    /// fleet's shared decodes).
-    interner: Option<ProgramInterner>,
 }
 
 impl Asic {
@@ -292,9 +288,7 @@ impl Asic {
             l3: LpmTable::new(),
             tcam: Tcam::new(),
             global_sram: lazy_sram(config.global_sram_words),
-            tcpu: Tcpu::new(config.tcpu_cycle_budget)
-                .with_decode_cache(config.decode_cache_slots)
-                .with_batched_dispatch(config.batched_dispatch),
+            tcpu: Tcpu::new(config.tcpu_cycle_budget),
             flow_cache: HashMap::new(),
             flow_cache_gen: 0,
             table_gen: 0,
@@ -303,25 +297,22 @@ impl Asic {
             route_override: None,
             trace: None,
             profile: None,
-            interner: None,
             config,
         }
     }
 
-    /// Share a fleet-wide program interner with this switch: decode-cache
-    /// misses consult it before decoding, so one distinct TPP program is
-    /// decoded (and resident) once per simulation instead of once per
-    /// switch. Survives [`reset`](Asic::reset). No-op when the decode
-    /// cache is disabled.
+    /// Share a fleet-wide program interner with this switch: pin misses
+    /// consult it before decoding, so one distinct TPP program is decoded
+    /// (and resident) once per simulation instead of once per switch.
+    /// Survives [`reset`](Asic::reset).
     pub fn set_program_interner(&mut self, interner: ProgramInterner) {
-        self.tcpu.set_interner(interner.clone());
-        self.interner = Some(interner);
+        self.tcpu.set_interner(interner);
     }
 
     /// Approximate resident heap bytes of this switch's state: SRAM
     /// slabs, tables, queues (including buffered frames), flow cache, and
-    /// decode-cache slot array. Interned program bodies are fleet-shared
-    /// and excluded (see [`ProgramInterner::approx_bytes`]).
+    /// TCPU. Interned program bodies are fleet-shared and excluded (see
+    /// [`ProgramInterner::approx_bytes`]).
     pub fn approx_bytes(&self) -> usize {
         std::mem::size_of::<Self>()
             + self.global_sram.capacity() * 4
@@ -536,9 +527,11 @@ impl Asic {
         (self.flow_cache_hits, self.flow_cache_misses)
     }
 
-    /// Decode-cache `(hits, misses)`; `(0, 0)` when the cache is off.
+    /// TCPU program-pin `(hits, misses)` since construction or the last
+    /// reset: a hit is a TPP carrying the same program bytes as the
+    /// previous one, a miss went to the program interner.
     pub fn decode_cache_stats(&self) -> (u64, u64) {
-        self.tcpu.decode_cache_stats()
+        self.tcpu.pin_stats()
     }
 
     /// Reconfigure a port's ingress TPP filter (the §4 edge policy).
@@ -690,20 +683,16 @@ impl Asic {
         self.l2 = L2Table::new();
         self.l3 = LpmTable::new();
         self.tcam = Tcam::new();
-        // Both hot-path caches are volatile state too: the flow cache is
-        // invalidated by the generation bump, and the decode cache loses
-        // its warmed programs along with its hit counters.
+        // The hot-path caches are volatile state too: the flow cache is
+        // invalidated by the generation bump, and the TCPU drops its
+        // program pin along with its hit counters (the interner's decodes
+        // are a pure function of program bytes and survive).
         self.table_gen = self.table_gen.wrapping_add(1);
         self.flow_cache.clear();
         self.flow_cache_gen = self.table_gen;
         self.flow_cache_hits = 0;
         self.flow_cache_misses = 0;
-        self.tcpu = Tcpu::new(self.config.tcpu_cycle_budget)
-            .with_decode_cache(self.config.decode_cache_slots)
-            .with_batched_dispatch(self.config.batched_dispatch);
-        if let Some(interner) = &self.interner {
-            self.tcpu.set_interner(interner.clone());
-        }
+        self.tcpu.reset();
         // Drop the SRAM slab back to lazy: a rebooted switch reads zeros
         // either way, and releasing the allocation is what "sized on
         // demand" means across a reboot.
@@ -2143,6 +2132,24 @@ mod tests {
         // Re-learn a different route post-reboot.
         asic.l2_mut().insert(EthernetAddress::from_host_id(1), 2);
         assert_eq!(asic.handle_frame(mk(), 0, 3_000).egress(), Some((2, 0)));
+    }
+
+    #[test]
+    fn reboot_drops_the_pin_but_keeps_the_interner() {
+        let interner = ProgramInterner::new();
+        let mut asic = asic();
+        asic.set_program_interner(interner.clone());
+        for i in 0..2 {
+            asic.handle_frame(tpp_frame("PUSH [Switch:SwitchID]", 2), 0, i);
+        }
+        assert_eq!(asic.decode_cache_stats(), (1, 1));
+        let decoded = interner.stats().1;
+        asic.reset(1_000);
+        assert_eq!(asic.decode_cache_stats(), (0, 0), "counters reset");
+        asic.l2_mut().insert(EthernetAddress::from_host_id(1), 1);
+        asic.handle_frame(tpp_frame("PUSH [Switch:SwitchID]", 2), 0, 2_000);
+        assert_eq!(asic.decode_cache_stats(), (0, 1), "first TPP is a pin miss");
+        assert_eq!(interner.stats().1, decoded, "served without a re-decode");
     }
 
     #[test]

@@ -70,24 +70,11 @@ pub struct AsicConfig {
     /// EWMA weight (0..=1, applied per tick) for link utilization
     /// registers. Higher = more responsive, noisier.
     pub utilization_ewma_alpha: f64,
-    /// Slots in the TCPU's decoded-program cache (rounded up to a power
-    /// of two). `0` disables the cache and decodes every instruction of
-    /// every packet, which is the pre-cache behavior `perf_baseline`
-    /// measures against. Execution semantics are identical either way.
-    pub decode_cache_slots: usize,
     /// Capacity of the exact-match flow cache fronting the TCAM→L3→L2
     /// lookup chain. `0` disables the cache (every packet walks the
     /// tables). Cached results are invalidated by a generation counter
     /// bumped on any table mutation or `reset()`.
     pub flow_cache_entries: usize,
-    /// Batched TCPU dispatch: when a switch drains an event window, a run
-    /// of packets carrying the same program is detected by one byte
-    /// compare per packet and executed against a single pinned decode
-    /// (decode once, run N) through a straight-line fast loop. Cycles,
-    /// counters, traces, and profiler spans are charged identically to
-    /// the per-frame path — bit-identical on or off, like the hot-path
-    /// caches. Requires `decode_cache_slots > 0` to have any effect.
-    pub batched_dispatch: bool,
 }
 
 impl AsicConfig {
@@ -101,25 +88,15 @@ impl AsicConfig {
             global_sram_words: 0x8000 / 4,
             link_sram_words: 0x1000 / 4,
             utilization_ewma_alpha: 0.5,
-            decode_cache_slots: 64,
             flow_cache_entries: 1024,
-            batched_dispatch: true,
         }
     }
 
-    /// Disable both hot-path caches (decoded-program and flow lookup).
-    /// `perf_baseline` uses this to measure the uncached pipeline.
-    pub fn without_hot_path_caches(mut self) -> Self {
-        self.decode_cache_slots = 0;
+    /// Disable the flow cache, so every packet walks the tables.
+    /// `perf_baseline` uses this for its "off" rows, and the differential
+    /// tests to prove the cache changes nothing observable.
+    pub fn without_flow_cache(mut self) -> Self {
         self.flow_cache_entries = 0;
-        self
-    }
-
-    /// Enable or disable batched TCPU dispatch (on by default; see
-    /// [`AsicConfig::batched_dispatch`]). The differential tests run with
-    /// it off to prove the batched path changes nothing observable.
-    pub fn batched_dispatch(mut self, on: bool) -> Self {
-        self.batched_dispatch = on;
         self
     }
 

@@ -38,7 +38,7 @@
 
 pub mod asic;
 pub mod config;
-pub mod decode_cache;
+pub mod interner;
 pub mod memmap;
 pub mod profile;
 pub mod queue;
@@ -50,7 +50,7 @@ pub mod tcpu;
 
 pub use asic::{Asic, DropReason, Outcome, PacketMeta, PortId, QueueId};
 pub use config::{AsicConfig, PortConfig, StripAction};
-pub use decode_cache::{DecodeCache, DecodedProgram, ProgramInterner};
+pub use interner::{DecodedProgram, ProgramInterner};
 pub use memmap::{Mmu, MmuFault};
 pub use profile::{PipelineProfile, ProfStage, ProfileConfig, Reservoir, Span, StageStat};
 pub use queue::DropTailQueue;

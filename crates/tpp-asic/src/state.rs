@@ -13,10 +13,10 @@
 //!   control-plane inputs the harness constructs explicitly, not state a
 //!   TPP can observe or mutate (only `FlowTableVersion`, which lives in
 //!   [`SwitchRegs`], is TPP-visible);
-//! - the flow cache and decode cache — they are semantically invisible by
-//!   design, which is exactly the property the differential harness
-//!   exists to check. Restoring them would let a buggy cache "restore"
-//!   its own bug away.
+//! - the flow cache and the TCPU's program pin — they are semantically
+//!   invisible by design, which is exactly the property the differential
+//!   harness exists to check. Restoring them would let a buggy cache
+//!   "restore" its own bug away.
 
 use crate::stats::{PortStats, QueueStats, SwitchRegs};
 

@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use crate::decode_cache::{DecodeCache, DecodedProgram, ProgramInterner};
+use crate::interner::{DecodedProgram, ProgramInterner};
 use crate::memmap::{Mmu, MmuFault};
 use tpp_isa::{Instruction, PacketOperand};
 use tpp_wire::tpp::{TppPacket, FLAG_EXECUTED, WORD_SIZE};
@@ -98,56 +98,46 @@ impl ExecReport {
 }
 
 /// The TCPU execution engine. All per-packet state lives in the packet
-/// and the [`Mmu`]; the engine itself carries only its configuration and
-/// the (semantically invisible) decoded-program cache.
+/// and the [`Mmu`]; the engine itself carries only its configuration,
+/// the interner it decodes through, and the (semantically invisible) pin
+/// of the program it ran last.
 #[derive(Debug, Clone)]
 pub struct Tcpu {
     cycle_budget: u32,
-    cache: Option<DecodeCache>,
-    /// Batched-dispatch run detection: when enabled, the program that
-    /// served the previous packet stays pinned (an `Arc`, immune to slot
-    /// eviction) and a run of same-program packets — the shape a switch
-    /// sees when it drains an event window — executes against the one
-    /// decode with a single byte-compare per packet and a fast
-    /// straight-line loop. Semantically invisible; see [`Tcpu::execute`].
-    batched: bool,
-    window: Option<Arc<DecodedProgram>>,
+    interner: ProgramInterner,
+    /// The program that served the previous packet. A flow stamps the
+    /// same bytes on every packet, so one byte compare against the pin
+    /// usually replaces the interner lookup.
+    pinned: Option<Arc<DecodedProgram>>,
+    pin_hits: u64,
+    pin_misses: u64,
 }
 
 impl Tcpu {
-    /// A TCPU with the given per-packet cycle budget and no decode cache
-    /// (every packet decodes every instruction, as in a cold ASIC).
+    /// A TCPU with the given per-packet cycle budget and an interner of
+    /// its own.
     pub fn new(cycle_budget: u32) -> Self {
         Tcpu {
             cycle_budget,
-            cache: None,
-            batched: false,
-            window: None,
+            interner: ProgramInterner::new(),
+            pinned: None,
+            pin_hits: 0,
+            pin_misses: 0,
         }
     }
 
-    /// Attach a decoded-program cache with `slots` entries (`0` leaves the
-    /// cache off). Execution semantics are identical with or without it.
-    pub fn with_decode_cache(mut self, slots: usize) -> Self {
-        self.cache = (slots > 0).then(|| DecodeCache::new(slots));
-        self
-    }
-
-    /// Enable (or disable) batched dispatch. Requires the decode cache;
-    /// with the cache off this is a no-op. Execution, counters, and
-    /// profiler charging are bit-identical either way — proven by the
-    /// batched-vs-unbatched proptests.
-    pub fn with_batched_dispatch(mut self, on: bool) -> Self {
-        self.batched = on;
-        self
-    }
-
-    /// Route decode-cache misses through a fleet-wide program interner
-    /// (no-op when the cache is off).
+    /// Decode through a shared (fleet-wide) program interner instead of
+    /// this TCPU's own.
     pub fn set_interner(&mut self, interner: ProgramInterner) {
-        if let Some(cache) = self.cache.as_mut() {
-            cache.set_interner(interner);
-        }
+        self.interner = interner;
+    }
+
+    /// Forget the pin and zero the pin counters, as a reboot does. The
+    /// interner stays: its decodes are a pure function of program bytes.
+    pub fn reset(&mut self) {
+        self.pinned = None;
+        self.pin_hits = 0;
+        self.pin_misses = 0;
     }
 
     /// The configured budget.
@@ -155,24 +145,21 @@ impl Tcpu {
         self.cycle_budget
     }
 
-    /// Approximate resident bytes of the TCPU's per-switch state (the
-    /// decode-cache slot array; interned program bodies are fleet-shared
-    /// and accounted at the interner).
+    /// Approximate resident bytes of the TCPU's per-switch state
+    /// (interned program bodies are accounted at the interner).
     pub fn approx_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.cache.as_ref().map_or(0, DecodeCache::approx_bytes)
+        std::mem::size_of::<Self>()
     }
 
-    /// Decode-cache `(hits, misses)`; `(0, 0)` when the cache is off.
-    pub fn decode_cache_stats(&self) -> (u64, u64) {
-        self.cache
-            .as_ref()
-            .map_or((0, 0), |c| (c.hits(), c.misses()))
+    /// Pin `(hits, misses)`: packets whose program matched the previous
+    /// packet's bytes vs. packets that went to the interner.
+    pub fn pin_stats(&self) -> (u64, u64) {
+        (self.pin_hits, self.pin_misses)
     }
 
-    /// Execute a TPP in place: decode its instruction words (or fetch the
-    /// decoded program from the cache), run them against the packet memory
-    /// and the switch [`Mmu`], then advance the hop counter and set
-    /// [`FLAG_EXECUTED`].
+    /// Execute a TPP in place: take its decoded program from the pin (or
+    /// the interner), run it against the packet memory and the switch
+    /// [`Mmu`], then advance the hop counter and set [`FLAG_EXECUTED`].
     ///
     /// The hop counter advances even after a fault or failed CEXEC, so
     /// hop-addressed slots keep lining up with the path ("a TPP executes
@@ -187,81 +174,33 @@ impl Tcpu {
             wrote_switch: false,
         };
 
-        if let Some(cache) = self.cache.as_mut() {
-            let program: &Arc<DecodedProgram> = if self.batched {
-                // Batched dispatch: a run of packets carrying the program
-                // that served the previous packet is detected by one byte
-                // compare and executes against the pinned Arc — decode
-                // once, run N. The pin serves exactly when the cache's
-                // last-hit memo would (same compare against the same
-                // program), so hit/miss counters stay identical.
-                if matches!(&self.window, Some(p) if p.bytes() == tpp.instruction_bytes()) {
-                    cache.note_window_hit();
-                    self.window.as_ref().expect("matched above")
-                } else {
-                    let fresh = cache.lookup(tpp.instruction_bytes()).clone();
-                    &*self.window.insert(fresh)
-                }
-            } else {
-                cache.lookup(tpp.instruction_bytes())
-            };
-            // The uncached loop visits word positions 0..n, stopping at the
-            // first undecodable word; replay exactly those positions, with
-            // the budget check first at each pc, so halt interleaving is
-            // bit-identical.
-            let n = match program.bad_at {
-                Some(bad) => bad + 1,
-                None => program.insns.len(),
-            };
-            if self.batched
-                && program.bad_at.is_none()
-                && PIPELINE_LATENCY_CYCLES + n as u32 <= budget
-            {
-                // Straight-line fast path: every word decoded cleanly and
-                // the whole program fits the budget, so the per-pc budget
-                // check (`4 + pc + 1 > budget` is impossible while
-                // `4 + n <= budget`) and the bad_at compare can never
-                // fire — eliding them is branch-for-branch equivalent.
-                // Faulting instructions still halt inside `run_insn`
-                // exactly as in the exact-replay loop.
-                for (pc, insn) in program.insns.iter().enumerate() {
-                    if !Self::run_insn(*insn, pc, tpp, mmu, &mut report) {
-                        break;
-                    }
-                }
-            } else {
-                for pc in 0..n {
-                    if report.cycles + 1 > budget {
-                        report.halt = Some(HaltReason::BudgetExceeded { pc });
-                        break;
-                    }
-                    if program.bad_at == Some(pc) {
-                        report.halt = Some(HaltReason::BadInstruction { pc });
-                        break;
-                    }
-                    if !Self::run_insn(program.insns[pc], pc, tpp, mmu, &mut report) {
-                        break;
-                    }
-                }
-            }
+        let bytes = tpp.instruction_bytes();
+        if matches!(&self.pinned, Some(p) if p.bytes() == bytes) {
+            self.pin_hits += 1;
         } else {
-            let count = tpp.instruction_count();
-            for pc in 0..count {
-                if report.cycles + 1 > budget {
-                    report.halt = Some(HaltReason::BudgetExceeded { pc });
-                    break;
-                }
-                let word = tpp.instruction_word(pc);
-                let insn = match Instruction::decode(word) {
-                    Ok(insn) => insn,
-                    Err(_) => {
-                        report.halt = Some(HaltReason::BadInstruction { pc });
-                        break;
-                    }
-                };
-                if !Self::run_insn(insn, pc, tpp, mmu, &mut report) {
-                    break;
-                }
+            self.pin_misses += 1;
+            self.pinned = Some(self.interner.intern(bytes));
+        }
+        let program = self.pinned.as_deref().expect("pinned above");
+        // Per-packet decoding visits word positions 0..n, stopping at the
+        // first undecodable word; replay exactly those positions, with the
+        // budget check first at each pc, so halt interleaving is
+        // bit-identical.
+        let n = match program.bad_at {
+            Some(bad) => bad + 1,
+            None => program.insns.len(),
+        };
+        for pc in 0..n {
+            if report.cycles + 1 > budget {
+                report.halt = Some(HaltReason::BudgetExceeded { pc });
+                break;
+            }
+            if program.bad_at == Some(pc) {
+                report.halt = Some(HaltReason::BadInstruction { pc });
+                break;
+            }
+            if !Self::run_insn(program.insns[pc], pc, tpp, mmu, &mut report) {
+                break;
             }
         }
 
@@ -697,5 +636,58 @@ mod tests {
         assert!(!report.completed());
         assert_eq!(tpp.hop(), 1, "hop advances on traversal, not success");
         assert_ne!(tpp.flags() & FLAG_EXECUTED, 0);
+    }
+
+    /// Execute raw instruction words (decodable or not) on `tcpu`.
+    fn exec_words(tcpu: &mut Tcpu, words: &[u32], b: &mut Banks) -> ExecReport {
+        let mut bytes = TppBuilder::new(AddressingMode::Stack)
+            .instructions(words)
+            .memory_words(4)
+            .build();
+        let mut tpp = TppPacket::new_checked(&mut bytes[..]).unwrap();
+        let mut m = mmu(b);
+        tcpu.execute(&mut tpp, &mut m)
+    }
+
+    #[test]
+    fn pin_counts_runs_of_the_same_program() {
+        let mut b = banks(1);
+        let mut tcpu = Tcpu::new(300);
+        let a = [0x6000_0001]; // PUSHI 1
+        let other = [0x6000_0002]; // PUSHI 2
+        for words in [&a, &a, &other, &a] {
+            assert!(exec_words(&mut tcpu, words, &mut b).completed());
+        }
+        assert_eq!(tcpu.pin_stats(), (1, 3), "A, A, B, A: one hit");
+        assert_eq!(tcpu.interner.stats(), (1, 2), "A's return is shared");
+    }
+
+    #[test]
+    fn pinned_bad_word_halts_at_the_same_pc() {
+        let mut b = banks(1);
+        let mut tcpu = Tcpu::new(300);
+        // NOP, an undefined opcode, then a NOP that must never run.
+        let words = [0x0000_0000, 0xf800_0000, 0x0000_0000];
+        let fresh = exec_words(&mut tcpu, &words, &mut b);
+        let pinned = exec_words(&mut tcpu, &words, &mut b);
+        assert_eq!(tcpu.pin_stats(), (1, 1));
+        assert_eq!(fresh.halt, Some(HaltReason::BadInstruction { pc: 1 }));
+        assert_eq!(pinned, fresh);
+        assert_eq!(pinned.instructions_executed, 1);
+    }
+
+    #[test]
+    fn tcpus_sharing_an_interner_share_one_decode() {
+        let interner = ProgramInterner::new();
+        let (mut x, mut y) = (Tcpu::new(300), Tcpu::new(300));
+        x.set_interner(interner.clone());
+        y.set_interner(interner.clone());
+        let words = [0x0000_0000, 0x6000_0007]; // NOP, PUSHI 7
+        exec_words(&mut x, &words, &mut banks(1));
+        exec_words(&mut y, &words, &mut banks(2));
+        let (px, py) = (x.pinned.as_ref().unwrap(), y.pinned.as_ref().unwrap());
+        assert!(Arc::ptr_eq(px, py), "both switches run one decode");
+        assert_eq!(interner.stats(), (1, 1));
+        assert_eq!((x.pin_stats(), y.pin_stats()), ((0, 1), (0, 1)));
     }
 }

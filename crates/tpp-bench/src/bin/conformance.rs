@@ -1,5 +1,5 @@
 //! Differential conformance driver: replay the committed corpus, then
-//! fuzz freshly generated cases through `tpp-asic` (caches on and off)
+//! fuzz freshly generated cases through `tpp-asic` (flow cache on and off)
 //! and the `tpp-spec` reference semantics in lock step.
 //!
 //! ```text

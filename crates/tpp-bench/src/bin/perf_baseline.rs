@@ -1,14 +1,15 @@
 //! Tracked performance baseline for the hot-path work: pipeline and TCPU
-//! throughput with the decode/flow caches on vs off, and a
-//! datacenter-scale netsim workload exercising the frame pool.
+//! throughput with the flow cache on vs off, and a datacenter-scale
+//! netsim workload exercising the frame pool.
 //!
 //! Writes `BENCH_pipeline.json` and `BENCH_netsim.json` into the current
 //! directory (run from the repo root; the committed copies are the
-//! tracked baseline). The "caches off" rows use
-//! `AsicConfig::without_hot_path_caches()`, i.e. the pre-optimization
-//! configuration, so every run re-measures the speedup against its own
-//! baseline on the same machine instead of comparing against stale
-//! absolute numbers.
+//! tracked baseline). The `"caches": "off"` rows use
+//! `AsicConfig::without_flow_cache()`, so every run re-measures the
+//! flow-cache speedup against its own baseline on the same machine
+//! instead of comparing against stale absolute numbers. Decoded-program
+//! reuse (the TCPU's pin over the program interner) has no off switch
+//! and runs in both rows.
 //!
 //! ```console
 //! $ cargo run --release -p tpp-bench --bin perf_baseline
@@ -494,7 +495,7 @@ fn main() {
         run_pipeline_workload(
             "tcpu_repeated_program",
             "off",
-            AsicConfig::with_ports(1, 4).without_hot_path_caches(),
+            AsicConfig::with_ports(1, 4).without_flow_cache(),
             &tpp,
             frames,
             true,
@@ -510,7 +511,7 @@ fn main() {
         run_pipeline_workload(
             "pipeline_plain",
             "off",
-            AsicConfig::with_ports(1, 4).without_hot_path_caches(),
+            AsicConfig::with_ports(1, 4).without_flow_cache(),
             &plain,
             frames,
             false,

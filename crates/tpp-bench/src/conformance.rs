@@ -5,9 +5,9 @@
 //! adversarial initial register/SRAM state. [`run_case`] then executes
 //! the case three ways in lock step:
 //!
-//! 1. the optimized ASIC with hot-path caches **on**,
-//! 2. the same ASIC with hot-path caches **off**
-//!    ([`AsicConfig::without_hot_path_caches`]),
+//! 1. the optimized ASIC with the flow cache **on**,
+//! 2. the same ASIC with the flow cache **off**
+//!    ([`AsicConfig::without_flow_cache`]),
 //! 3. the allocation-happy reference semantics in `tpp-spec`,
 //!
 //! and demands bit-identical observable behavior: outcome, forwarded
@@ -223,6 +223,26 @@ impl ConformanceCase {
         )
     }
 
+    /// The harness switch's configuration: budget and SRAM sizes from
+    /// the case, [`NUM_PORTS`] ports at the case's queue limit.
+    pub fn asic_config(&self) -> AsicConfig {
+        let mut cfg = AsicConfig::with_ports(self.switch_id, NUM_PORTS);
+        cfg.tcpu_cycle_budget = self.budget;
+        cfg.global_sram_words = self.global_sram.len();
+        cfg.link_sram_words = self.link_sram.len();
+        cfg.queue_limit_bytes(self.queue_limit_bytes)
+    }
+
+    /// An ASIC built from `config`, routed (host 1 → [`EGRESS_PORT`]) and
+    /// restored to the case's initial state.
+    pub fn harness_asic(&self, config: AsicConfig) -> Asic {
+        let mut asic = Asic::new(config);
+        asic.l2_mut()
+            .insert(EthernetAddress::from_host_id(1), EGRESS_PORT);
+        asic.restore(&self.initial_asic_state());
+        asic
+    }
+
     /// The initial ASIC-side state image restored into both engines.
     #[allow(clippy::field_reassign_with_default)]
     fn initial_asic_state(&self) -> AsicState {
@@ -278,7 +298,7 @@ impl ConformanceCase {
     }
 
     /// The equivalent initial state for the reference interpreter.
-    fn initial_spec_state(&self) -> SpecState {
+    pub fn initial_spec_state(&self) -> SpecState {
         SpecState {
             switch: SwitchBank {
                 switch_id: self.switch_id,
@@ -340,22 +360,8 @@ pub struct CaseSummary {
 /// semantics. `Ok` means full agreement; `Err` carries a human-readable
 /// description of the first divergence.
 pub fn run_case(case: &ConformanceCase) -> Result<CaseSummary, String> {
-    let mk_cfg = || {
-        let mut cfg = AsicConfig::with_ports(case.switch_id, NUM_PORTS);
-        cfg.tcpu_cycle_budget = case.budget;
-        cfg.global_sram_words = case.global_sram.len();
-        cfg.link_sram_words = case.link_sram.len();
-        cfg.queue_limit_bytes(case.queue_limit_bytes)
-    };
-    let mut cached = Asic::new(mk_cfg());
-    let mut uncached = Asic::new(mk_cfg().without_hot_path_caches());
-    for asic in [&mut cached, &mut uncached] {
-        asic.l2_mut()
-            .insert(EthernetAddress::from_host_id(1), EGRESS_PORT);
-    }
-    let state0 = case.initial_asic_state();
-    cached.restore(&state0);
-    uncached.restore(&state0);
+    let mut cached = case.harness_asic(case.asic_config());
+    let mut uncached = case.harness_asic(case.asic_config().without_flow_cache());
     let mut spec = case.initial_spec_state();
 
     let mut frame = case.frame();
@@ -524,7 +530,10 @@ fn halt_key_spec(h: &tpp_spec::SpecHalt) -> (&'static str, usize, String) {
     (h.name(), h.pc(), fault)
 }
 
-fn compare_exec(
+/// Compare one round's ASIC execution report against the reference's
+/// (instructions, cycles, SRAM-write flag, halt reason, pc and fault);
+/// `Err` names every mismatching field.
+pub fn compare_exec(
     round: u32,
     asic: Option<&ExecReport>,
     spec: Option<&SpecReport>,
@@ -586,7 +595,7 @@ fn diff_bytes(a: &[u8], b: &[u8]) -> String {
 /// Field-by-field comparison of the final ASIC snapshot against the
 /// reference state. Every TPP-visible register and SRAM word is listed
 /// explicitly so a divergence names the exact register.
-fn compare_final(snap: &AsicState, spec: &SpecState) -> Result<(), String> {
+pub fn compare_final(snap: &AsicState, spec: &SpecState) -> Result<(), String> {
     let mut errs: Vec<String> = Vec::new();
     fn chk<T: PartialEq + std::fmt::Debug>(errs: &mut Vec<String>, label: &str, asic: T, spec: T) {
         if asic != spec {

@@ -29,6 +29,9 @@ use tpp_netsim::{HostApp, HostCtx};
 use tpp_wire::ethernet::{EtherType, Frame, ETHERNET_HEADER_LEN};
 use tpp_wire::EthernetAddress;
 
+/// Re-exported from `tpp-telemetry`, the one home of the workspace mixer.
+pub use tpp_telemetry::splitmix64;
+
 /// Ethertype of benchmark data frames (plain, non-TPP traffic).
 pub const FCT_ETHERTYPE: EtherType = EtherType(0x0802);
 
@@ -42,15 +45,6 @@ pub const META_LEN: usize = 24;
 const META_MAGIC: u16 = 0xF1C7;
 const FLAG_LAST: u8 = 1 << 0;
 const FLAG_MINING: u8 = 1 << 1;
-
-/// splitmix64 — the tiny, seedable, statistically solid mixer used for
-/// every random draw in the engine (no external RNG dependency).
-pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// A splitmix64-sequence RNG: `state` advances by the golden-ratio
 /// increment, each output is one mix of it.

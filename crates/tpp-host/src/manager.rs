@@ -24,7 +24,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use tpp_netsim::HostCtx;
-use tpp_telemetry::{SharedSink, TraceEvent, TraceEventKind, TraceSink};
+use tpp_telemetry::{splitmix64, SharedSink, TraceEvent, TraceEventKind, TraceSink};
 
 use crate::probe::parse_echo;
 
@@ -170,14 +170,6 @@ pub struct ProbeManager {
     armed_until: Option<u64>,
     trace: Option<SharedSink>,
     stats: ProbeStats,
-}
-
-/// splitmix64 — the standard 64-bit finalizer; deterministic and cheap.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 impl ProbeManager {

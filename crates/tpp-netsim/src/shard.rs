@@ -250,8 +250,8 @@ impl ShardRun<'_> {
     /// Batched TCPU execution: frames landing on switch `s` at the same
     /// instant are adjacent in canonical key order (same time, same
     /// class, same receiver-major), so run the whole burst back to back
-    /// without re-entering the dispatcher. The ASIC's decode-cache memo
-    /// then decodes a repeated program once for the burst.
+    /// without re-entering the dispatcher. The TCPU's program pin then
+    /// serves a repeated program with one byte compare per frame.
     fn drain_arrival_burst(&mut self, node: NodeId) {
         let s = SwitchId(node.index());
         loop {

@@ -158,9 +158,9 @@ impl NetworkBuilder {
     /// errors, not runtime conditions.
     pub fn build(self) -> Simulator {
         let cfg = self.config;
-        // One fleet-wide program interner: every switch's decode cache
-        // fills from it, so a program appearing at N switches is decoded
-        // once and shares one allocation.
+        // One fleet-wide program interner: every switch's TCPU re-pins
+        // from it, so a program appearing at N switches is decoded once
+        // and shares one allocation.
         let interner = ProgramInterner::new();
         let switches: Vec<SwitchNode> = self
             .switches
@@ -630,8 +630,8 @@ pub struct Simulator {
     /// (observability plane layer 2); `None` (the default) keeps the
     /// tick handler at one extra branch.
     series: Option<SeriesSet>,
-    /// Fleet-wide program interner shared by every switch's decode
-    /// cache (see [`ProgramInterner`]).
+    /// Fleet-wide program interner shared by every switch's TCPU (see
+    /// [`ProgramInterner`]).
     interner: ProgramInterner,
 }
 
@@ -664,8 +664,8 @@ impl Simulator {
         self.shards.iter().map(|s| s.processed).sum()
     }
 
-    /// The fleet-wide program interner shared by every switch's decode
-    /// cache: `(shared, decoded)` counters and distinct-program count
+    /// The fleet-wide program interner shared by every switch's TCPU:
+    /// `(shared, decoded)` counters and distinct-program count
     /// are read through it.
     pub fn program_interner(&self) -> &ProgramInterner {
         &self.interner

@@ -113,7 +113,7 @@ pub enum Tab {
     Latency,
     /// Queue occupancy and drops.
     Queues,
-    /// TCPU flow/decode cache hit rates.
+    /// Flow-cache and TCPU program-pin hit rates.
     Caches,
     /// Closed-loop transport counters, FCT, ECMP spread.
     Transport,

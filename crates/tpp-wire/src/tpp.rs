@@ -246,8 +246,9 @@ impl<T: AsRef<[u8]>> TppPacket<T> {
     }
 
     /// The encoded instruction section as raw bytes (big-endian words, in
-    /// execution order). Zero-copy: decode caches hash and compare this
-    /// slice directly instead of materializing a `Vec<u32>` per packet.
+    /// execution order). Zero-copy: the TCPU's program pin and interner
+    /// compare and key on this slice directly instead of materializing a
+    /// `Vec<u32>` per packet.
     pub fn instruction_bytes(&self) -> &[u8] {
         let count = self.instruction_count();
         &self.buffer.as_ref()[TPP_HEADER_LEN..TPP_HEADER_LEN + count * WORD_SIZE]

@@ -1,5 +1,5 @@
-//! Differential conformance: the optimized ASIC (`tpp-asic`, hot-path
-//! caches on *and* off) against the reference semantics (`tpp-spec`),
+//! Differential conformance: the optimized ASIC (`tpp-asic`, flow cache
+//! on *and* off) against the reference semantics (`tpp-spec`),
 //! driven by the shared harness in `tpp_bench::conformance`.
 //!
 //! The debug-profile test here runs a few hundred seeded cases; the CI
@@ -7,7 +7,6 @@
 //! ≥10 000 cases plus the full committed corpus.
 
 use proptest::test_runner::TestRng;
-use tpp::asic::decode_cache::{program_hash, FNV_OFFSET, FNV_PRIME};
 use tpp::isa::{Instruction, Opcode};
 use tpp_bench::conformance::{directed_cases, fuzz, gen_blob, parse_agreement};
 use tpp_bench::testgen::{asic_pair, regs_match, step_both, tpp_frame};
@@ -57,14 +56,27 @@ fn directed_corpus_covers_every_opcode() {
     }
 }
 
-/// Satellite regression: two *different* programs engineered to share
-/// their chunked-FNV-1a hash. The decode cache's exact-byte verification
-/// must treat the second program as a miss (not replay the first one's
-/// decode), so the cached ASIC stays bit-identical to the uncached one.
+/// FNV-1a offset basis and prime, used to construct two programs with
+/// equal hashes: program reuse must key on exact bytes, never on a hash.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Chunked FNV-1a over raw instruction bytes (8-byte little-endian
+/// chunks; the test programs are whole chunks).
+fn program_hash(bytes: &[u8]) -> u64 {
+    bytes.chunks_exact(8).fold(FNV_OFFSET, |h, chunk| {
+        (h ^ u64::from_le_bytes(chunk.try_into().unwrap())).wrapping_mul(FNV_PRIME)
+    })
+}
+
+/// Regression: two *different* programs engineered to share a
+/// chunked-FNV-1a hash. Program reuse is keyed by exact bytes, so the
+/// second program must be a pin miss (not replay the first one's decode)
+/// and the ASIC pair must stay bit-identical.
 #[test]
 fn decode_cache_rejects_constructed_hash_collision() {
     // Program A: two 8-byte chunks (PUSHI 1, NOP, PUSHI 2, NOP on the
-    // wire). The cache hashes the raw big-endian instruction bytes.
+    // wire), hashed over the raw big-endian instruction bytes.
     let a_words = [0x6000_0001u32, 0x0000_0000, 0x6000_0002, 0x0000_0000];
     let a: Vec<u8> = a_words.iter().flat_map(|w| w.to_be_bytes()).collect();
     let a1 = u64::from_le_bytes(a[0..8].try_into().unwrap());
@@ -87,15 +99,14 @@ fn decode_cache_rejects_constructed_hash_collision() {
     let (mut cached, mut uncached) = asic_pair();
     let frame_a = tpp_frame(1, 9, &a_words, &[0; 8]);
     let frame_b = tpp_frame(1, 9, &b_words, &[0; 8]);
-    // Seed the decode cache with program A (second round is a hit).
+    // Pin program A (the second and third rounds are pin hits).
     for round in 0..3 {
         step_both(&mut cached, &mut uncached, &frame_a, round);
     }
     let (hits_seeded, misses_seeded) = cached.decode_cache_stats();
-    assert!(hits_seeded >= 2, "A's repeats should hit the cache");
-    // Program B maps to the same hash (same slot). Byte verification
-    // must reject the collision: B decodes fresh and behaves exactly
-    // like the cache-less ASIC.
+    assert!(hits_seeded >= 2, "A's repeats should hit the pin");
+    // Program B has A's hash. The byte compare must reject it: B decodes
+    // fresh and behaves exactly like the other ASIC.
     step_both(&mut cached, &mut uncached, &frame_b, 10);
     regs_match(&cached, &uncached);
     let (_, misses_after) = cached.decode_cache_stats();

@@ -1,65 +1,29 @@
 //! The hot-path caches must be semantically invisible.
 //!
-//! An ASIC with the decoded-program cache and the exact-match flow cache
-//! on must behave bit-identically to one with them off
-//! (`AsicConfig::without_hot_path_caches()`, the pre-optimization
-//! configuration): same outcomes, same forwarded bytes, same
-//! TPP-readable registers. Every frame is fed more than once so the
-//! caches actually serve hits, and programs include undecodable words so
-//! the cached `BadInstruction` halt position is exercised too.
+//! Decoded-program reuse (each TCPU pins the program it ran last over
+//! the program interner) is checked against the `tpp-spec` reference,
+//! which decodes every packet fresh, so a stale pin would show as a
+//! divergence. Programs include undecodable words so the replayed
+//! `BadInstruction` halt position is exercised too.
+//!
+//! The exact-match flow cache is checked against an ASIC with it off
+//! (`AsicConfig::without_flow_cache()`): same outcomes, same forwarded
+//! bytes, same TPP-readable registers.
 //!
 //! The shared ASIC-pair/frame builders live in `tpp_bench::testgen`,
 //! reused by the robustness tests and the conformance fuzz loop.
 
 use proptest::prelude::*;
-use tpp_asic::{Asic, AsicConfig};
-use tpp_bench::testgen::{asic_pair, regs_match, step_both, tpp_frame};
+use tpp_asic::Outcome;
+use tpp_bench::conformance::{
+    compare_exec, compare_final, spec_round, ConformanceCase, EGRESS_PORT, INGRESS_PORT,
+};
+use tpp_bench::testgen::{asic_pair, regs_match, step_both};
 use tpp_wire::ethernet::{build_frame, EtherType};
 use tpp_wire::EthernetAddress;
 
-/// Two identically populated ASICs differing only in
-/// [`AsicConfig::batched_dispatch`]: the batched TCPU (decode once, run
-/// the window straight-line) vs the per-frame path.
-fn batch_pair() -> (Asic, Asic) {
-    let mk = |config: AsicConfig| {
-        let mut asic = Asic::new(config);
-        asic.l2_mut().insert(EthernetAddress::from_host_id(1), 1);
-        asic.l2_mut().insert(EthernetAddress::from_host_id(2), 2);
-        asic.l3_mut().insert(0x0a00_0000, 8, 3);
-        asic
-    };
-    (
-        mk(AsicConfig::with_ports(7, 4)),
-        mk(AsicConfig::with_ports(7, 4).batched_dispatch(false)),
-    )
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// Arbitrary instruction words — valid or not — executed repeatedly
-    /// produce identical results with the decode cache on and off.
-    #[test]
-    fn decode_cache_matches_fresh_decode(
-        words in proptest::collection::vec(any::<u32>(), 0..12),
-        mem in proptest::collection::vec(any::<u32>(), 0..16),
-        repeats in 2usize..5,
-    ) {
-        let frame = tpp_frame(1, 9, &words, &mem);
-        let (mut cached, mut uncached) = asic_pair();
-        // Repeats make the second and later rounds cache hits; the TPP
-        // mutates in flight, so each round replays the same ingress
-        // bytes rather than the mutated ones.
-        for round in 0..repeats {
-            step_both(&mut cached, &mut uncached, &frame, round as u64);
-        }
-        regs_match(&cached, &uncached);
-        let (hits, _) = cached.decode_cache_stats();
-        prop_assert!(
-            words.is_empty() || hits >= (repeats as u64) - 1,
-            "repeated program should hit the decode cache"
-        );
-    }
 
     /// A random mix of flows — L2-routed, L3-routed, and unroutable —
     /// fed repeatedly forwards identically with the flow cache on and
@@ -90,27 +54,49 @@ proptest! {
         prop_assert!(misses <= frames.len() as u64);
     }
 
-    /// Batched TCPU dispatch is bit-identical to the per-frame path for
-    /// arbitrary programs (valid or not — cached `BadInstruction` halt
-    /// positions included) under arbitrary same-program run lengths:
-    /// same outcomes, same egress bytes, same TPP-visible registers.
+    /// Two arbitrary programs (valid or not) interleaved by `pattern`:
+    /// runs of one program are served by the TCPU's pin, switches
+    /// between them re-pin through the interner. Every frame must match
+    /// the reference's fresh decode: execution report, forwarded bytes
+    /// and, at the end, every register and SRAM word.
     #[test]
-    fn batched_dispatch_matches_per_frame(
+    fn pinned_decode_matches_spec(
         words_a in proptest::collection::vec(any::<u32>(), 0..12),
         words_b in proptest::collection::vec(any::<u32>(), 0..12),
         mem in proptest::collection::vec(any::<u32>(), 0..16),
         pattern in proptest::collection::vec(any::<bool>(), 4..24),
     ) {
-        // Two programs interleaved by `pattern`: runs of the same
-        // program exercise the batch window (byte-compare fast path),
-        // switches between them exercise re-pinning.
-        let frame_a = tpp_frame(1, 9, &words_a, &mem);
-        let frame_b = tpp_frame(2, 9, &words_b, &mem);
-        let (mut batched, mut unbatched) = batch_pair();
-        for (i, pick_a) in pattern.iter().enumerate() {
-            let frame = if *pick_a { &frame_a } else { &frame_b };
-            step_both(&mut batched, &mut unbatched, frame, i as u64);
+        let case_a = ConformanceCase {
+            insns: words_a,
+            memory: mem,
+            ..ConformanceCase::default()
+        };
+        let case_b = ConformanceCase {
+            insns: words_b,
+            ..case_a.clone()
+        };
+        let (frame_a, frame_b) = (case_a.frame(), case_b.frame());
+        let mut asic = case_a.harness_asic(case_a.asic_config());
+        let mut spec = case_a.initial_spec_state();
+        for (round, &pick_a) in pattern.iter().enumerate() {
+            let frame = if pick_a { &frame_a } else { &frame_b };
+            let now = 1_000 * (round as u64 + 1);
+            let Outcome::Enqueued { exec, .. } =
+                asic.handle_frame(frame.clone(), INGRESS_PORT, now)
+            else {
+                panic!("round {round}: harness frame not enqueued");
+            };
+            let (spec_frame, spec_report) = spec_round(&mut spec, frame, now, case_a.budget);
+            compare_exec(round as u32, exec.as_ref(), spec_report.as_ref())
+                .map_err(TestCaseError::fail)?;
+            prop_assert_eq!(asic.dequeue(EGRESS_PORT), spec_frame);
         }
-        regs_match(&batched, &unbatched);
+        compare_final(&asic.snapshot(), &spec).map_err(TestCaseError::fail)?;
+        // Every frame after the first that repeats its predecessor's
+        // program must have been served by the pin.
+        let repeats = pattern.windows(2).filter(|w| w[0] == w[1]).count() as u64;
+        let (hits, misses) = asic.decode_cache_stats();
+        prop_assert!(hits >= repeats, "pin served {hits} of {repeats} repeats");
+        prop_assert_eq!(hits + misses, pattern.len() as u64);
     }
 }

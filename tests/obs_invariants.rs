@@ -5,7 +5,7 @@
 //! 1. **Attribution is exact.** The per-stage cycle charges the profiler
 //!    records (parser, tables, TCPU, MMU) sum to precisely the span
 //!    total it reports, for arbitrary TPP frames — and the attribution
-//!    is identical with the hot-path caches on and off, since a cached
+//!    is identical with the flow cache on and off, since a cached
 //!    lookup must *charge* what the table walk would have cost, not
 //!    what the cache shortcut cost.
 //! 2. **Sampling is invisible.** Enabling the profiler (sample every
@@ -36,7 +36,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Per-stage charges sum exactly to the profiled total, frame by
-    /// frame and in aggregate, with caches on and off.
+    /// frame and in aggregate, with the flow cache on and off.
     #[test]
     fn stage_attribution_sums_to_total(
         words in proptest::collection::vec(any::<u32>(), 0..12),
