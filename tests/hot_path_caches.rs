@@ -22,6 +22,49 @@ use tpp_bench::testgen::{asic_pair, regs_match, step_both};
 use tpp_wire::ethernet::{build_frame, EtherType};
 use tpp_wire::EthernetAddress;
 
+/// Drives one ASIC with the programs `words_a`/`words_b` (picked per
+/// frame by `pattern`) against the `tpp-spec` reference, which decodes
+/// every packet fresh. Compares each frame's execution report and
+/// forwarded bytes, then every register and SRAM word, and checks that
+/// every frame repeating its predecessor's program was a pin hit.
+fn check_against_spec(
+    words_a: Vec<u32>,
+    words_b: Vec<u32>,
+    mem: Vec<u32>,
+    pattern: &[bool],
+) -> Result<(), TestCaseError> {
+    let case_a = ConformanceCase {
+        insns: words_a,
+        memory: mem,
+        ..ConformanceCase::default()
+    };
+    let case_b = ConformanceCase {
+        insns: words_b,
+        ..case_a.clone()
+    };
+    let (frame_a, frame_b) = (case_a.frame(), case_b.frame());
+    let mut asic = case_a.harness_asic(case_a.asic_config());
+    let mut spec = case_a.initial_spec_state();
+    for (round, &pick_a) in pattern.iter().enumerate() {
+        let frame = if pick_a { &frame_a } else { &frame_b };
+        let now = 1_000 * (round as u64 + 1);
+        let Outcome::Enqueued { exec, .. } = asic.handle_frame(frame.clone(), INGRESS_PORT, now)
+        else {
+            panic!("round {round}: harness frame not enqueued");
+        };
+        let (spec_frame, spec_report) = spec_round(&mut spec, frame, now, case_a.budget);
+        compare_exec(round as u32, exec.as_ref(), spec_report.as_ref())
+            .map_err(TestCaseError::fail)?;
+        prop_assert_eq!(asic.dequeue(EGRESS_PORT), spec_frame);
+    }
+    compare_final(&asic.snapshot(), &spec).map_err(TestCaseError::fail)?;
+    let repeats = pattern.windows(2).filter(|w| w[0] == w[1]).count() as u64;
+    let (hits, misses) = asic.decode_cache_stats();
+    prop_assert!(hits >= repeats, "pin served {hits} of {repeats} repeats");
+    prop_assert_eq!(hits + misses, pattern.len() as u64);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -54,49 +97,30 @@ proptest! {
         prop_assert!(misses <= frames.len() as u64);
     }
 
-    /// Two arbitrary programs (valid or not) interleaved by `pattern`:
-    /// runs of one program are served by the TCPU's pin, switches
-    /// between them re-pin through the interner. Every frame must match
-    /// the reference's fresh decode: execution report, forwarded bytes
-    /// and, at the end, every register and SRAM word.
+    /// One arbitrary program (valid or not) fed `repeats` times: every
+    /// round after the first is served by the TCPU's pin and must match
+    /// the reference's fresh decode of the same bytes.
     #[test]
-    fn pinned_decode_matches_spec(
+    fn decode_cache_matches_fresh_decode(
+        words in proptest::collection::vec(any::<u32>(), 0..12),
+        mem in proptest::collection::vec(any::<u32>(), 0..16),
+        repeats in 2usize..5,
+    ) {
+        check_against_spec(words, Vec::new(), mem, &vec![true; repeats])?;
+    }
+
+    /// Two arbitrary programs interleaved by `pattern`: runs of one
+    /// program (what batched dispatch used to run as one window) are
+    /// served by the pin, switches between them re-pin through the
+    /// interner. Every frame must match the reference's per-frame
+    /// fresh decode.
+    #[test]
+    fn batched_dispatch_matches_per_frame(
         words_a in proptest::collection::vec(any::<u32>(), 0..12),
         words_b in proptest::collection::vec(any::<u32>(), 0..12),
         mem in proptest::collection::vec(any::<u32>(), 0..16),
         pattern in proptest::collection::vec(any::<bool>(), 4..24),
     ) {
-        let case_a = ConformanceCase {
-            insns: words_a,
-            memory: mem,
-            ..ConformanceCase::default()
-        };
-        let case_b = ConformanceCase {
-            insns: words_b,
-            ..case_a.clone()
-        };
-        let (frame_a, frame_b) = (case_a.frame(), case_b.frame());
-        let mut asic = case_a.harness_asic(case_a.asic_config());
-        let mut spec = case_a.initial_spec_state();
-        for (round, &pick_a) in pattern.iter().enumerate() {
-            let frame = if pick_a { &frame_a } else { &frame_b };
-            let now = 1_000 * (round as u64 + 1);
-            let Outcome::Enqueued { exec, .. } =
-                asic.handle_frame(frame.clone(), INGRESS_PORT, now)
-            else {
-                panic!("round {round}: harness frame not enqueued");
-            };
-            let (spec_frame, spec_report) = spec_round(&mut spec, frame, now, case_a.budget);
-            compare_exec(round as u32, exec.as_ref(), spec_report.as_ref())
-                .map_err(TestCaseError::fail)?;
-            prop_assert_eq!(asic.dequeue(EGRESS_PORT), spec_frame);
-        }
-        compare_final(&asic.snapshot(), &spec).map_err(TestCaseError::fail)?;
-        // Every frame after the first that repeats its predecessor's
-        // program must have been served by the pin.
-        let repeats = pattern.windows(2).filter(|w| w[0] == w[1]).count() as u64;
-        let (hits, misses) = asic.decode_cache_stats();
-        prop_assert!(hits >= repeats, "pin served {hits} of {repeats} repeats");
-        prop_assert_eq!(hits + misses, pattern.len() as u64);
+        check_against_spec(words_a, words_b, mem, &pattern)?;
     }
 }
