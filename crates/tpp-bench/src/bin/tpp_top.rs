@@ -1,16 +1,16 @@
 //! `tpp-top` — a `top(1)` for the TPP fabric.
 //!
-//! Three modes:
+//! Two modes, plus a diff view:
 //!
 //! * **Interactive dashboard** (default): a tabbed, sortable fleet view
 //!   with windowed sparklines, driven by key presses (`1`–`5`/tab to
 //!   switch category, `w` window width, `s` sort, `p` pause, `q` quit).
 //!   Pick the feed with `--scenario obs|fct|bond`.
-//! * **Headless**: `--headless` prints the classic summary table once
-//!   (the CI golden); add `--frame WxH` to print one dashboard frame
-//!   instead — a pure function of the seeded scenario, so CI byte-diffs
+//! * **Headless**: `--headless` runs the seeded feed to the end and
+//!   prints one dashboard frame (`--frame WxH`, default 120x40; `--tab`,
+//!   default latency) — a pure function of the scenario, so CI byte-diffs
 //!   it at any shard count. `--prom FILE` / `--series FILE` write the
-//!   Prometheus snapshot and JSONL series dump (`-` for stdout).
+//!   feed's Prometheus snapshot and JSONL series dump (`-` for stdout).
 //! * **Profile diff**: `--diff A.jsonl B.jsonl` compares two recorded
 //!   series dumps (e.g. caches on vs off) side by side.
 //!
@@ -18,7 +18,7 @@
 //! $ cargo run -p tpp-bench --bin tpp_top                      # live view
 //! $ cargo run -p tpp-bench --bin tpp_top -- --scenario fct
 //! $ cargo run -p tpp-bench --bin tpp_top -- --headless --prom snap.prom --series series.jsonl
-//! $ cargo run -p tpp-bench --bin tpp_top -- --headless --frame 120x40 --tab transport --scenario fct
+//! $ cargo run -p tpp-bench --bin tpp_top -- --headless --tab transport --scenario fct
 //! $ cargo run -p tpp-bench --bin tpp_top -- --diff cache_on.jsonl cache_off.jsonl
 //! ```
 
@@ -26,7 +26,6 @@ use std::io::{Read as _, Write as _};
 use std::sync::mpsc;
 
 use tpp_bench::dash_scenario::{DashFeed, DashScenario};
-use tpp_bench::obs_scenario::run_obs_scenario;
 use tpp_obs::render::Tab;
 use tpp_obs::snapshot::SortKey;
 use tpp_obs::{parse_series_jsonl, render_dashboard, render_profile_diff, DashState};
@@ -44,6 +43,9 @@ fn write_out(path: &str, what: &str, contents: &str) {
         }
     }
 }
+
+/// Frame size for the headless and diff outputs when `--frame` is absent.
+const DEFAULT_FRAME: (usize, usize) = (120, 40);
 
 fn usage() -> ! {
     eprintln!(
@@ -194,7 +196,7 @@ fn raw_mode(on: bool) -> bool {
 /// Terminal size via `stty size` (rows cols); dashboard default
 /// otherwise.
 fn term_size() -> (usize, usize) {
-    let fallback = (120, 40);
+    let fallback = DEFAULT_FRAME;
     let Ok(out) = std::process::Command::new("stty")
         .arg("size")
         .stdin(std::process::Stdio::inherit())
@@ -273,7 +275,7 @@ fn main() {
     let args = parse_args();
 
     if let Some((a, b)) = &args.diff {
-        let (width, height) = args.frame.unwrap_or((120, 40));
+        let (width, height) = args.frame.unwrap_or(DEFAULT_FRAME);
         let dump_a = parse_series_jsonl(&read_file(a));
         let dump_b = parse_series_jsonl(&read_file(b));
         print!(
@@ -283,45 +285,23 @@ fn main() {
         return;
     }
 
-    if let (true, Some((width, height))) = (args.headless, args.frame) {
-        // One dashboard frame from the finished seeded scenario: a pure
-        // function of (scenario, state, size) — the CI-pinned artifact.
-        let mut feed = DashFeed::build(args.scenario);
-        feed.run_to_end();
-        let state = dash_state(&args);
-        let snap = feed.snapshot(state.window_ns());
-        print!("{}", render_dashboard(&snap, &state, width, height));
-        if let Some(p) = &args.prom {
-            write_out(p, "prometheus snapshot", &feed.prom());
-        }
-        if let Some(p) = &args.series {
-            write_out(p, "series jsonl", &feed.series_dump());
-        }
-        return;
-    }
-
     if !args.headless {
         live_dashboard(&args);
         return;
     }
 
-    // Classic headless path: run the full scenario deterministically and
-    // print the end state (what CI pins as the obs_top golden).
-    let run = run_obs_scenario();
-    print!("{}", run.top);
-    println!(
-        "\nscenario: probes={} echoes={} peak_queue={}B bursts={} budget_violations={} divergence_max={}B",
-        run.probes_sent,
-        run.echoes_received,
-        run.peak_queue_bytes,
-        run.bursts_detected,
-        run.budget_violations,
-        run.divergence_max_bytes,
-    );
-    if let Some(p) = args.prom {
-        write_out(&p, "prometheus snapshot", &run.prom);
+    // One dashboard frame from the finished seeded scenario: a pure
+    // function of (scenario, state, size) — the CI-pinned artifact.
+    let (width, height) = args.frame.unwrap_or(DEFAULT_FRAME);
+    let mut feed = DashFeed::build(args.scenario);
+    feed.run_to_end();
+    let state = dash_state(&args);
+    let snap = feed.snapshot(state.window_ns());
+    print!("{}", render_dashboard(&snap, &state, width, height));
+    if let Some(p) = &args.prom {
+        write_out(p, "prometheus snapshot", &feed.prom());
     }
-    if let Some(p) = args.series {
-        write_out(&p, "series jsonl", &run.series);
+    if let Some(p) = &args.series {
+        write_out(p, "series jsonl", &feed.series_dump());
     }
 }

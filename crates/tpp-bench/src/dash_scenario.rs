@@ -90,14 +90,7 @@ impl DashFeed {
     /// The microburst obs feed (default [`SimConfig`], honors
     /// `TPP_SHARDS`).
     pub fn obs() -> DashFeed {
-        let sc = ObsScenario::new();
-        DashFeed {
-            harvest: Harvest::Obs {
-                monitor: sc.monitor_host,
-            },
-            sim: sc.sim,
-            end_ns: OBS_END_NS,
-        }
+        ObsScenario::new().into()
     }
 
     /// The lossy closed-loop fct feed over a k=4 fat-tree (16 hosts,
@@ -288,6 +281,18 @@ impl DashFeed {
             .series()
             .map(tpp_obs::series_jsonl)
             .unwrap_or_default()
+    }
+}
+
+impl From<ObsScenario> for DashFeed {
+    fn from(sc: ObsScenario) -> DashFeed {
+        DashFeed {
+            harvest: Harvest::Obs {
+                monitor: sc.monitor_host,
+            },
+            sim: sc.sim,
+            end_ns: OBS_END_NS,
+        }
     }
 }
 

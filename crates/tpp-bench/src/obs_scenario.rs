@@ -10,19 +10,23 @@
 //! exact, because the run is lossless and fully drained.
 //!
 //! Everything is deterministic (seeded reservoirs, discrete-event time,
-//! no wall clock), so [`run_obs_scenario`]'s rendered artifacts can be
-//! pinned as golden files in CI.
+//! no wall clock), so the scenario's Prometheus snapshot, series dump
+//! and dashboard frames can be pinned as golden files in CI. The
+//! dashboard drives it as [`DashFeed::obs`]; [`run_obs_scenario`] runs
+//! that feed to the end and checks the scenario's invariants.
+//!
+//! [`DashFeed::obs`]: crate::dash_scenario::DashFeed::obs
 
 use tpp_apps::{detect_bursts, MicroburstMonitor};
 use tpp_asic::ProfileConfig;
 use tpp_host::EchoReceiver;
 use tpp_netsim::{
-    leaf_spine, time, HostApp, HostCtx, HostId, LeafSpine, LeafSpineParams, RunLimit, Simulator,
+    leaf_spine, time, HostApp, HostCtx, HostId, LeafSpine, LeafSpineParams, Simulator, SwitchId,
 };
-use tpp_obs::{prometheus_snapshot, render_top, series_jsonl, Collector};
-use tpp_telemetry::MetricsRegistry;
 use tpp_wire::ethernet::{build_frame, EtherType};
 use tpp_wire::EthernetAddress;
+
+use crate::dash_scenario::DashFeed;
 
 /// Probe interval (one probe per ~RTT).
 pub const PROBE_INTERVAL_NS: u64 = 10_000;
@@ -69,9 +73,8 @@ impl HostApp for Burster {
     }
 }
 
-/// The built scenario: a simulator mid-flight plus the handles the
-/// renderers need. Step it for a live view, or let
-/// [`run_obs_scenario`] drive it to completion.
+/// The built scenario at t=0: the simulator plus its topology handles.
+/// Turn it into a [`DashFeed`] to step, snapshot and export it.
 pub struct ObsScenario {
     /// The simulator (profiling and series enabled on every switch).
     pub sim: Simulator,
@@ -132,34 +135,6 @@ impl ObsScenario {
             monitor_host,
         }
     }
-
-    /// Advance simulation time.
-    pub fn step_to(&mut self, t_ns: u64) {
-        self.sim.run(RunLimit::Until(t_ns));
-    }
-
-    /// A fresh collector fed from the monitor's current state.
-    pub fn collector(&self) -> Collector {
-        let mut c = Collector::new();
-        c.ingest_monitor(self.sim.host_app::<MicroburstMonitor>(self.monitor_host));
-        c
-    }
-
-    /// Render the `tpp-top` table for the current instant.
-    pub fn render(&self) -> String {
-        render_top(&self.sim, Some(&self.collector()))
-    }
-
-    /// A metrics registry holding every switch's export (pipeline
-    /// counters, profile spans) plus the collector's aggregates.
-    pub fn registry(&self, collector: &Collector) -> MetricsRegistry {
-        let mut reg = MetricsRegistry::new();
-        for &s in self.fabric.leaves.iter().chain(self.fabric.spines.iter()) {
-            self.sim.switch(s).export_metrics(&mut reg);
-        }
-        collector.export_metrics(&mut reg);
-        reg
-    }
 }
 
 impl Default for ObsScenario {
@@ -168,10 +143,8 @@ impl Default for ObsScenario {
     }
 }
 
-/// The finished scenario's artifacts, ready to print or pin as goldens.
+/// The finished scenario's exports and invariants.
 pub struct ObsRun {
-    /// The `tpp-top` table.
-    pub top: String,
     /// Prometheus text-format snapshot of the fleet + collector.
     pub prom: String,
     /// JSONL dump of the ring series.
@@ -192,48 +165,39 @@ pub struct ObsRun {
     pub bursts_detected: usize,
 }
 
-/// Drive the scenario to quiescence and collect every artifact.
+/// Drive the scenario's dashboard feed to quiescence, read its exports,
+/// and measure the scenario's invariants.
 pub fn run_obs_scenario() -> ObsRun {
-    let mut sc = ObsScenario::new();
-    sc.sim.run(RunLimit::Quiescent {
-        limit_ns: SCENARIO_END_NS,
-    });
-    let collector = sc.collector();
-    let report = collector.divergence_vs_sim(&sc.sim);
-    let top = render_top(&sc.sim, Some(&collector));
-    let prom = prometheus_snapshot(&sc.registry(&collector));
-    let series = series_jsonl(sc.sim.series().expect("series enabled"));
-
+    let sc = ObsScenario::new();
     let victim_leaf = sc.fabric.leaves[1];
-    let victim_leaf_id = sc.sim.switch(victim_leaf).switch_id();
-    let monitor = sc.sim.host_app::<MicroburstMonitor>(sc.monitor_host);
+    let monitor_host = sc.monitor_host;
+    let mut feed = DashFeed::from(sc);
+    feed.run_to_end();
+    let sim = feed.sim();
+
+    let victim_leaf_id = sim.switch(victim_leaf).switch_id();
+    let monitor = sim.host_app::<MicroburstMonitor>(monitor_host);
     let bursts = detect_bursts(
         &monitor.series_for(victim_leaf_id),
         5_000,
         5 * PROBE_INTERVAL_NS,
     );
-    let budget_violations = sc
-        .fabric
-        .leaves
-        .iter()
-        .chain(sc.fabric.spines.iter())
-        .map(|&s| {
-            sc.sim
-                .switch(s)
+    let budget_violations = (0..sim.num_switches())
+        .map(|i| {
+            sim.switch(SwitchId(i))
                 .profile()
                 .map_or(0, |p| p.budget_violations())
         })
         .sum();
 
     ObsRun {
-        top,
-        prom,
-        series,
+        prom: feed.prom(),
+        series: feed.series_dump(),
         budget_violations,
-        divergence_max_bytes: report.max_abs_bytes,
+        divergence_max_bytes: feed.collector().divergence_vs_sim(sim).max_abs_bytes,
         probes_sent: monitor.probes_sent,
         echoes_received: monitor.echoes_received,
-        peak_queue_bytes: sc.sim.switch(victim_leaf).hottest_queue().2,
+        peak_queue_bytes: sim.switch(victim_leaf).hottest_queue().2,
         bursts_detected: bursts.len(),
     }
 }

@@ -12,7 +12,7 @@
 use std::fmt::Write as _;
 
 use crate::export::SeriesDump;
-use crate::snapshot::{FleetSnapshot, SortKey};
+use crate::snapshot::{FleetSnapshot, SortKey, SwitchRow};
 use crate::window::{window_label, WindowedSeries, SIM_WINDOWS, WALL_WINDOWS};
 
 /// Block glyphs for one-cell bars, shallowest to fullest.
@@ -27,7 +27,10 @@ pub fn spark_raw(values: &[u64], width: usize) -> String {
     let max = vals.iter().copied().max().unwrap_or(0);
     vals.iter()
         .map(|&v| {
-            let level = (v * 7).checked_div(max).unwrap_or(0);
+            // u128: `v * 7` must not overflow for any u64 a dump holds.
+            let level = (u128::from(v) * 7)
+                .checked_div(u128::from(max))
+                .unwrap_or(0);
             SPARK_GLYPHS[level as usize]
         })
         .collect()
@@ -290,26 +293,32 @@ fn win_cell(series: Option<&WindowedSeries>) -> (u64, u64, u64) {
         .unwrap_or((0, 0, 0))
 }
 
-fn put_switch_table<F: Fn(&FleetSnapshot, usize) -> String>(
+/// The fleet table: `head` on row `y`, then one `row` per switch in the
+/// state's sort order, at most `avail` of them plus a "+N more" marker;
+/// returns the first row below.
+fn put_switch_table<F: Fn(&SwitchRow) -> String>(
     frame: &mut FrameBuf,
     snap: &FleetSnapshot,
     state: &DashState,
+    y: usize,
     head: &str,
-    extra: usize,
+    avail: usize,
     row: F,
 ) -> usize {
-    frame.put(0, 3, head);
+    frame.put(0, y, head);
     let order = snap.sorted_switches(state.sort);
-    let avail = body_rows(frame, extra);
     let shown = order.len().min(avail);
     for (r, &i) in order.iter().take(shown).enumerate() {
-        let line = row(snap, i);
-        frame.put(0, 4 + r, &line);
+        frame.put(0, y + 1 + r, &row(&snap.switches[i]));
     }
     if order.len() > shown {
-        frame.put(0, 4 + shown, &format!(" … (+{} more)", order.len() - shown));
+        frame.put(
+            0,
+            y + 1 + shown,
+            &format!(" … (+{} more)", order.len() - shown),
+        );
     }
-    4 + shown + usize::from(order.len() > shown)
+    y + 1 + shown + usize::from(order.len() > shown)
 }
 
 fn tab_latency(frame: &mut FrameBuf, snap: &FleetSnapshot, state: &DashState) {
@@ -317,12 +326,12 @@ fn tab_latency(frame: &mut FrameBuf, snap: &FleetSnapshot, state: &DashState) {
         frame,
         snap,
         state,
-        " SWITCH      PKTS    SMPL   VIOL   SPAN p50/p99/max cyc    OCC_B",
-        4,
-        |s, i| {
-            let r = &s.switches[i];
+        3,
+        " SWITCH      PKTS    SMPL   VIOL   SPAN p50/p99/max cyc    OCC_B  DIVERG_B",
+        body_rows(frame, 4),
+        |r| {
             format!(
-                " 0x{:<8x} {:>7} {:>7} {:>6}   {:>6}/{:>6}/{:>6}   {:>8}",
+                " 0x{:<8x} {:>7} {:>7} {:>6}   {:>6}/{:>6}/{:>6}   {:>8} {:>9}",
                 r.switch_id,
                 r.packets,
                 r.sampled,
@@ -330,7 +339,8 @@ fn tab_latency(frame: &mut FrameBuf, snap: &FleetSnapshot, state: &DashState) {
                 r.span.0,
                 r.span.1,
                 r.span.2,
-                r.occupancy_bytes
+                r.occupancy_bytes,
+                r.divergence_bytes
             )
         },
     );
@@ -365,6 +375,25 @@ fn tab_latency(frame: &mut FrameBuf, snap: &FleetSnapshot, state: &DashState) {
     if !ops.is_empty() {
         frame.put(0, y + 3, &format!(" tcpu ops: {}", ops.join("  ")));
     }
+    let stage_y = y + 5;
+    put_switch_table(
+        frame,
+        snap,
+        state,
+        stage_y,
+        &format!(
+            " {:<10}{:>12}{:>12}{:>12}{:>12}{:>12}   stage cycles p50/p99/max",
+            "SWITCH", "PARSER", "TABLES", "TCPU", "MMU", "SCHED"
+        ),
+        frame.height().saturating_sub(stage_y + 3),
+        |r| {
+            let mut line = format!(" 0x{:<8x}", r.switch_id);
+            for (p50, p99, max) in r.stages {
+                let _ = write!(line, "{:>12}", format!("{p50}/{p99}/{max}"));
+            }
+            line
+        },
+    );
 }
 
 fn tab_queues(frame: &mut FrameBuf, snap: &FleetSnapshot, state: &DashState) {
@@ -372,10 +401,10 @@ fn tab_queues(frame: &mut FrameBuf, snap: &FleetSnapshot, state: &DashState) {
         frame,
         snap,
         state,
-        " SWITCH     HOT(p,q)     HOT_B   Qmax win min/mean/max      DROP/T  TREND(Qmax)",
-        0,
-        |s, i| {
-            let r = &s.switches[i];
+        3,
+        " SWITCH     HOT(p,q)     HOT_B   Qmax win min/mean/max      DROP/T  TREND(Qmax)              UTIL_PM(peak)",
+        body_rows(frame, 0),
+        |r| {
             let q = win_cell(r.windows.get("queue.max_bytes"));
             let d = win_cell(r.windows.get("drop.bytes_per_tick"));
             let spark = r
@@ -383,8 +412,12 @@ fn tab_queues(frame: &mut FrameBuf, snap: &FleetSnapshot, state: &DashState) {
                 .get("queue.max_bytes")
                 .map(|w| sparkline(w, 24))
                 .unwrap_or_default();
+            let util = r
+                .windows
+                .get("link.tx_util_permille")
+                .map_or(0, |w| w.max_value());
             format!(
-                " 0x{:<8x} ({:>2},{:>2}) {:>9}   {:>7}/{:>7}/{:>7} {:>9}  {spark}",
+                " 0x{:<8x} ({:>2},{:>2}) {:>9}   {:>7}/{:>7}/{:>7} {:>9}  {spark:<24} {util:>13}",
                 r.switch_id, r.hot.0, r.hot.1, r.hot.2, q.0, q.1, q.2, d.2
             )
         },
@@ -396,10 +429,10 @@ fn tab_caches(frame: &mut FrameBuf, snap: &FleetSnapshot, state: &DashState) {
         frame,
         snap,
         state,
+        3,
         " SWITCH     FLOWHIT pm min/mean/max  TREND          DECODEHIT pm min/mean/max  TREND",
-        0,
-        |s, i| {
-            let r = &s.switches[i];
+        body_rows(frame, 0),
+        |r| {
             let f = win_cell(r.windows.get("cache.flow_hit_permille"));
             let d = win_cell(r.windows.get("cache.decode_hit_permille"));
             let fs = r
@@ -590,7 +623,7 @@ pub fn render_profile_diff(
         let pa = da.map(|d| d.max_value());
         let pb = db.map(|d| d.max_value());
         let delta = match (pa, pb) {
-            (Some(x), Some(y)) => format!("{:+}", y as i64 - x as i64),
+            (Some(x), Some(y)) => format!("{:+}", i128::from(y) - i128::from(x)),
             _ => "n/a".to_string(),
         };
         let cell = |p: Option<u64>| p.map_or("-".to_string(), |v| v.to_string());
@@ -629,7 +662,7 @@ pub fn render_profile_diff(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::{CollectorSummary, SwitchRow};
+    use crate::snapshot::CollectorSummary;
     use std::collections::BTreeMap;
 
     fn tiny_snapshot() -> FleetSnapshot {
@@ -649,6 +682,8 @@ mod tests {
                 sampled: 617,
                 violations: 3,
                 span: (120, 260, 300),
+                stages: [(6, 6, 6), (4, 4, 4), (0, 6, 6), (2, 2, 2), (1, 1, 1)],
+                divergence_bytes: 0,
                 hot: (1, 0, 9000),
                 occupancy_bytes: 0,
                 windows,
@@ -761,5 +796,21 @@ mod tests {
         assert!(text.contains("-180"), "delta = 120 - 300");
         assert!(text.contains("(absent)"), "unpaired series still listed");
         assert!(text.lines().all(|l| l.chars().count() == 120));
+    }
+
+    #[test]
+    fn profile_diff_takes_any_u64_from_a_dump() {
+        assert_eq!(spark_raw(&[u64::MAX / 2, u64::MAX], 4), "▄█");
+        let line = |v: u64| {
+            format!(
+                "{{\"scope\":\"fleet\",\"metric\":\"m\",\"stride\":1,\"offered\":1,\"points\":[[0,{v}]]}}\n"
+            )
+        };
+        let a = crate::export::parse_series_jsonl(&line(i64::MAX as u64));
+        let b = crate::export::parse_series_jsonl(&line(u64::MAX));
+        let text = render_profile_diff(&a, &b, "a", "b", 120, 6);
+        assert!(text.contains("+9223372036854775808"), "u64::MAX - i64::MAX");
+        let text = render_profile_diff(&b, &a, "b", "a", 120, 6);
+        assert!(text.contains("-9223372036854775808"), "i64::MAX - u64::MAX");
     }
 }

@@ -13,6 +13,7 @@
 
 use std::collections::BTreeMap;
 
+use tpp_asic::ProfStage;
 use tpp_host::bonding::PathHealth;
 use tpp_host::TransportStats;
 use tpp_netsim::{Simulator, SwitchId, SWITCH_SERIES_METRICS};
@@ -34,6 +35,12 @@ pub struct SwitchRow {
     pub violations: u64,
     /// Span latency percentiles, cycles (p50, p99, max).
     pub span: (u64, u64, u64),
+    /// Per-stage latency percentiles, cycles (p50, p99, max), in
+    /// [`ProfStage::ALL`] order (zeros when unprofiled).
+    pub stages: [(u64, u64, u64); 5],
+    /// `|collector's last observed occupancy − ground truth|`, bytes
+    /// (0 when no probe crossed the switch).
+    pub divergence_bytes: u64,
     /// Hottest egress queue `(port, queue, peak bytes)`.
     pub hot: (u16, u16, u64),
     /// Current total egress occupancy, bytes.
@@ -133,15 +140,20 @@ impl FleetSnapshot {
     /// simulation or the collector.
     pub fn capture(sim: &Simulator, collector: &Collector, window_ns: u64) -> FleetSnapshot {
         let series = sim.series();
+        let report = collector.divergence_vs_sim(sim);
         let mut switches = Vec::with_capacity(sim.num_switches());
         let mut opcode_acc: Vec<(&'static str, u64)> = Vec::new();
         for i in 0..sim.num_switches() {
             let asic = sim.switch(SwitchId(i));
             let (occ, _) = asic.queue_occupancy();
             let (hp, hq, hw) = asic.hottest_queue();
-            let (packets, sampled, violations, span) = match asic.profile() {
+            let (packets, sampled, violations, span, stages) = match asic.profile() {
                 Some(p) => {
                     let t = p.total_stat();
+                    let stages = ProfStage::ALL.map(|st| {
+                        let s = p.stage(st);
+                        (s.p50(), s.p99(), s.max())
+                    });
                     for (op, n) in p.opcode_breakdown() {
                         match opcode_acc.iter_mut().find(|(m, _)| *m == op.mnemonic()) {
                             Some(slot) => slot.1 += n,
@@ -153,9 +165,10 @@ impl FleetSnapshot {
                         p.sampled(),
                         p.budget_violations(),
                         (t.p50(), t.p99(), t.max()),
+                        stages,
                     )
                 }
-                None => (0, 0, 0, (0, 0, 0)),
+                None => (0, 0, 0, (0, 0, 0), [(0, 0, 0); 5]),
             };
             let mut windows = BTreeMap::new();
             if let Some(set) = series {
@@ -173,6 +186,8 @@ impl FleetSnapshot {
                 sampled,
                 violations,
                 span,
+                stages,
+                divergence_bytes: report.per_switch[i].abs_diff_bytes,
                 hot: (hp, hq.into(), hw),
                 occupancy_bytes: occ,
                 windows,
@@ -221,7 +236,6 @@ impl FleetSnapshot {
             })
             .collect();
 
-        let report = collector.divergence_vs_sim(sim);
         let rtt = collector.rtt();
         FleetSnapshot {
             t_ns: sim.now(),
@@ -333,6 +347,8 @@ mod tests {
             sampled: 0,
             violations: viol,
             span: (0, 0, 0),
+            stages: [(0, 0, 0); 5],
+            divergence_bytes: 0,
             hot: (0, 0, hot),
             occupancy_bytes: 0,
             windows: BTreeMap::new(),

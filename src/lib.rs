@@ -23,7 +23,7 @@
 //! | [`rcp_ref`] | `tpp-rcp-ref` | Reference in-router RCP (ns-2's role) + AIMD |
 //! | [`control`] | `tpp-control` | Control-plane agent: SRAM partitioning, versions, edge security |
 //! | [`spec`] | `tpp-spec` | Executable reference semantics — the conformance oracle for `asic` |
-//! | [`obs`] | `tpp-obs` | Observability plane: collector, Prometheus/JSONL export, `tpp-top` |
+//! | [`obs`] | `tpp-obs` | Observability plane: collector, Prometheus/JSONL export, fleet dashboard |
 //!
 //! ## Quickstart
 //!
@@ -95,7 +95,9 @@ pub mod prelude {
         LinearChainParams, NetworkBuilder, ObsHandle, RunLimit, SimConfig, Simulator, SwitchId,
         Topology,
     };
-    pub use crate::obs::{prometheus_snapshot, render_top, series_jsonl, Collector};
+    pub use crate::obs::{
+        prometheus_snapshot, render_dashboard, series_jsonl, Collector, DashState, FleetSnapshot,
+    };
     pub use crate::telemetry::{
         write_csv, write_jsonl, MetricsRegistry, SharedSink, TraceEvent, TraceEventKind, TraceSink,
     };

@@ -1,11 +1,13 @@
-//! Golden snapshot of the observability plane's end-to-end artifacts.
+//! Golden snapshot of the observability plane's end-to-end exports.
 //!
-//! Drives the seeded microburst scenario (`tpp_bench::obs_scenario` —
-//! the same code path as `tpp_top --headless`) and pins the rendered
-//! `tpp-top` table, the Prometheus snapshot, and the JSONL series dump
-//! against committed goldens. The scenario is fully deterministic
-//! (discrete-event time, seeded reservoirs, no wall clock), so any
-//! diff is a real behavior change. Regenerate with `UPDATE_GOLDEN=1`.
+//! Drives the seeded microburst scenario's dashboard feed
+//! (`tpp_bench::obs_scenario` over `DashFeed::obs` — the same feed
+//! `tpp_top --headless` prints) and pins the Prometheus snapshot and
+//! the JSONL series dump against committed goldens; its dashboard
+//! frames are pinned by `tests/dashboard_golden.rs`. The scenario is
+//! fully deterministic (discrete-event time, seeded reservoirs, no wall
+//! clock), so any diff is a real behavior change. Regenerate with
+//! `UPDATE_GOLDEN=1`.
 
 use std::path::Path;
 
@@ -36,7 +38,6 @@ fn obs_scenario_matches_goldens() {
     );
     assert!(run.peak_queue_bytes > 10_000, "burst must actually queue");
 
-    assert_matches_golden(Path::new("tests/golden/obs_top.txt"), &run.top);
     assert_matches_golden(Path::new("tests/golden/obs_snapshot.prom"), &run.prom);
     assert_matches_golden(Path::new("tests/golden/obs_series.jsonl"), &run.series);
 }
