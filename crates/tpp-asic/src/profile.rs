@@ -39,7 +39,7 @@
 //! exists to catch.
 
 use tpp_isa::{Instruction, Opcode};
-use tpp_telemetry::{Histogram, MetricsRegistry};
+use tpp_telemetry::{percentile_index, Histogram, MetricsRegistry};
 
 use crate::tcpu::ExecReport;
 
@@ -200,22 +200,21 @@ impl Reservoir {
         self.seen
     }
 
-    /// Exact percentile over the held samples (nearest-rank); 0 when
-    /// empty. `p` in 0..=1.
+    /// Exact percentile over the held samples ([`percentile_index`]);
+    /// 0 when empty. `p` in 0..=1.
     pub fn percentile(&self, p: f64) -> u64 {
-        if self.samples.is_empty() {
+        let Some(i) = percentile_index(self.samples.len(), p) else {
             return 0;
-        }
+        };
         let mut sorted = self.samples.clone();
         sorted.sort_unstable();
-        let rank = ((p.clamp(0.0, 1.0) * sorted.len() as f64).ceil() as usize).max(1);
-        sorted[rank - 1]
+        sorted[i]
     }
 }
 
 /// Per-stage aggregation: a log₂ histogram (mergeable, exportable) plus
-/// a reservoir of raw samples (exact small-set percentiles for
-/// `tpp-top`).
+/// a reservoir of raw samples (exact small-set percentiles for the
+/// fleet dashboard).
 #[derive(Debug, Clone)]
 pub struct StageStat {
     hist: Histogram,
@@ -505,7 +504,7 @@ mod tests {
             r.offer(v);
         }
         assert_eq!(r.percentile(0.0), 10);
-        assert_eq!(r.percentile(0.5), 20);
+        assert_eq!(r.percentile(0.5), 30, "rank round(3 * 0.5) = 2");
         assert_eq!(r.percentile(1.0), 40);
         assert_eq!(Reservoir::new(4, 1).percentile(0.5), 0);
     }

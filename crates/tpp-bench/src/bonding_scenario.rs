@@ -30,6 +30,7 @@ use tpp_netsim::{
     bonded_diamond_with, time, BondedDiamond, BondedDiamondParams, Endpoint, FaultPlan,
     LinkProfile, LinkState, RunLimit, SimConfig, Simulator,
 };
+use tpp_telemetry::percentile_index;
 use tpp_wire::EthernetAddress;
 
 /// Probe cadence per path.
@@ -258,14 +259,6 @@ fn health_code(h: PathHealth) -> u64 {
     }
 }
 
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx]
-}
-
 /// Drive the scenario to quiescence under `config` and fold the result.
 pub fn run_bonding_scenario(config: SimConfig) -> BondingRun {
     let (mut sim, diamond) = build(config);
@@ -291,6 +284,7 @@ pub fn run_bonding_scenario(config: SimConfig) -> BondingRun {
         .collect();
     let mut latencies: Vec<u64> = tx.ack_latencies.iter().map(|&(_, l)| l).collect();
     latencies.sort_unstable();
+    let latency = |p| percentile_index(latencies.len(), p).map_or(0, |i| latencies[i]);
     let failover_detect_ns = tx
         .bond
         .events()
@@ -313,25 +307,8 @@ pub fn run_bonding_scenario(config: SimConfig) -> BondingRun {
         health_events: tx.bond.events().to_vec(),
         failover_detect_ns,
         epoch_changes: tx.epoch_changes,
-        ack_latency_ns: (
-            percentile(&latencies, 0.50),
-            percentile(&latencies, 0.99),
-            percentile(&latencies, 1.0),
-        ),
+        ack_latency_ns: (latency(0.50), latency(0.99), latency(1.0)),
         goodput_mbps: payload_bits / window_s / 1e6,
         quiesced_at_ns,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn percentile_bounds() {
-        assert_eq!(percentile(&[], 0.5), 0);
-        let v = vec![10, 20, 30, 40];
-        assert_eq!(percentile(&v, 0.0), 10);
-        assert_eq!(percentile(&v, 1.0), 40);
     }
 }

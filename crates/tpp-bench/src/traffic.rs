@@ -29,6 +29,7 @@ use tpp_netsim::{HostApp, HostCtx};
 use tpp_wire::ethernet::{EtherType, Frame, ETHERNET_HEADER_LEN};
 use tpp_wire::EthernetAddress;
 
+use tpp_telemetry::percentile_index;
 /// Re-exported from `tpp-telemetry`, the one home of the workspace mixer.
 pub use tpp_telemetry::splitmix64;
 
@@ -667,12 +668,16 @@ pub fn completions_fingerprint(completions: impl Iterator<Item = Completion>) ->
     acc
 }
 
-/// `p`-th percentile (0..=1) of an ascending-sorted slice; NaN if empty.
+/// `p`-th percentile (0..=1) of an ascending-sorted slice, ranked by
+/// [`percentile_index`]; NaN if empty.
+///
+/// ```
+/// use tpp_bench::traffic::percentile;
+/// assert_eq!(percentile(&[1.0, 2.0, 3.0, 4.0], 0.5), 3.0);
+/// assert!(percentile(&[], 0.5).is_nan());
+/// ```
 pub fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    sorted[((sorted.len() - 1) as f64 * p).round() as usize]
+    percentile_index(sorted.len(), p).map_or(f64::NAN, |i| sorted[i])
 }
 
 #[cfg(test)]
@@ -835,14 +840,5 @@ mod tests {
             fp
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn percentile_basics() {
-        let v = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert_eq!(percentile(&v, 0.0), 1.0);
-        assert_eq!(percentile(&v, 0.5), 3.0);
-        assert_eq!(percentile(&v, 1.0), 5.0);
-        assert!(percentile(&[], 0.5).is_nan());
     }
 }

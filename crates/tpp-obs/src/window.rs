@@ -6,8 +6,9 @@
 //! sample whose timestamp falls inside it. [`WindowedSeries`] is that
 //! fold. It is built to be **downsample-correct by construction**: the
 //! aggregate of a window is a pure function of the samples that landed
-//! in it, computed by the one quantile rule ([`nearest_rank`]) the
-//! brute-force recomputation tests mirror, so feeding the same points
+//! in it, ranked by the workspace's one percentile rule
+//! ([`percentile_index`]) that the brute-force recomputation tests also
+//! call, so feeding the same points
 //! incrementally, in one batch, or after a [`RingSeries`]
 //! stride-doubling compaction produces identical windows for identical
 //! points.
@@ -21,6 +22,12 @@
 
 use tpp_netsim::time;
 use tpp_netsim::RingSeries;
+use tpp_telemetry::percentile_index;
+
+/// The `p`-th percentile of a non-empty ascending slice.
+fn pick(sorted: &[u64], p: f64) -> u64 {
+    sorted[percentile_index(sorted.len(), p).expect("non-empty window")]
+}
 
 /// The wall-clock window presets the issue tracker of any real fleet
 /// would ask for: 1 s, 10 s, 1 min, 5 min.
@@ -55,19 +62,6 @@ pub fn window_label(width_ns: u64) -> String {
     }
 }
 
-/// Nearest-rank quantile of an ascending-sorted slice: the smallest
-/// element whose rank covers fraction `num/den` of the population.
-/// Integer-exact (no interpolation), so independently recomputing a
-/// window from its raw samples reproduces the aggregate bit-for-bit.
-pub fn nearest_rank(sorted: &[u64], num: u64, den: u64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let n = sorted.len() as u64;
-    let rank = (n * num).div_ceil(den).max(1);
-    sorted[(rank - 1) as usize]
-}
-
 /// The aggregate of one closed window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WindowAgg {
@@ -82,9 +76,9 @@ pub struct WindowAgg {
     pub max: u64,
     /// Sum of all samples (for the exact mean).
     pub sum: u64,
-    /// Nearest-rank median.
+    /// Median ([`percentile_index`] rank).
     pub p50: u64,
-    /// Nearest-rank 99th percentile.
+    /// 99th percentile ([`percentile_index`] rank).
     pub p99: u64,
 }
 
@@ -180,8 +174,8 @@ impl WindowedSeries {
             min: vals[0],
             max: *vals.last().expect("non-empty window"),
             sum: vals.iter().sum(),
-            p50: nearest_rank(&vals, 1, 2),
-            p99: nearest_rank(&vals, 99, 100),
+            p50: pick(&vals, 0.5),
+            p99: pick(&vals, 0.99),
         });
     }
 
@@ -215,7 +209,7 @@ mod tests {
     /// The brute-force oracle: bucket raw points by `t / width` in one
     /// pass over the whole slice, recomputing every aggregate from
     /// scratch with independent (iterator-based) min/max/sum and the
-    /// shared nearest-rank rule.
+    /// shared percentile rule.
     fn brute_force(points: &[(u64, u64)], width_ns: u64) -> Vec<WindowAgg> {
         let mut buckets: std::collections::BTreeMap<u64, Vec<u64>> = Default::default();
         for &(t, v) in points {
@@ -231,8 +225,8 @@ mod tests {
                     min: vals.iter().copied().min().unwrap(),
                     max: vals.iter().copied().max().unwrap(),
                     sum: vals.iter().sum(),
-                    p50: nearest_rank(&vals, 1, 2),
-                    p99: nearest_rank(&vals, 99, 100),
+                    p50: vals[percentile_index(vals.len(), 0.5).unwrap()],
+                    p99: vals[percentile_index(vals.len(), 0.99).unwrap()],
                 }
             })
             .collect()
@@ -309,17 +303,6 @@ mod tests {
         assert_eq!(w.windows().len(), 2);
         assert_eq!(w.windows()[0].start_ns, 0);
         assert_eq!(w.windows()[1].start_ns, 1_000);
-    }
-
-    #[test]
-    fn nearest_rank_rule() {
-        assert_eq!(nearest_rank(&[], 1, 2), 0);
-        assert_eq!(nearest_rank(&[7], 1, 2), 7);
-        assert_eq!(nearest_rank(&[1, 2, 3, 4], 1, 2), 2);
-        assert_eq!(nearest_rank(&[1, 2, 3, 4, 5], 1, 2), 3);
-        let v: Vec<u64> = (1..=100).collect();
-        assert_eq!(nearest_rank(&v, 99, 100), 99);
-        assert_eq!(nearest_rank(&v, 1, 1), 100);
     }
 
     #[test]

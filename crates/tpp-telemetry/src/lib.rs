@@ -28,6 +28,8 @@
 //!   the formats `tpp-bench`'s `--trace out.jsonl` flags produce.
 //! * [`MetricsRegistry`] — named counters and log₂-bucket histograms,
 //!   merged across switches by `tpp-netsim::Simulator` on `tick`.
+//! * [`percentile_index`] — the one rule that ranks a percentile in a
+//!   sorted sample set, used by every quantile in the workspace.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,7 +41,7 @@ pub mod sink;
 pub use event::{
     write_csv, write_jsonl, DropKind, LookupKind, Stage, TcpuOutcome, TraceEvent, TraceEventKind,
 };
-pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{percentile_index, Histogram, MetricsRegistry, MetricsSnapshot};
 pub use sink::{RingBufferSink, SharedSink, TraceSink, VecSink};
 
 /// splitmix64 — the tiny, seedable, statistically solid 64-bit mixer

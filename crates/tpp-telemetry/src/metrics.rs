@@ -10,6 +10,16 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+/// The workspace's one percentile rule: the 0-based rank of the `p`-th
+/// percentile in an ascending set of `len` samples,
+/// `round((len - 1) · clamp(p, 0, 1))` with halves rounded away from
+/// zero, or `None` for an empty set. Every sample set — histograms,
+/// reservoirs, dashboard windows, bench distributions — ranks with it.
+pub fn percentile_index(len: usize, p: f64) -> Option<usize> {
+    let last = len.checked_sub(1)?;
+    Some((last as f64 * p.clamp(0.0, 1.0)).round() as usize)
+}
+
 /// A power-of-two bucketed histogram of `u64` samples.
 ///
 /// Bucket `i` counts samples in `[2^(i-1), 2^i)` (bucket 0 counts
@@ -68,34 +78,8 @@ impl Histogram {
         }
     }
 
-    /// Smallest upper bound `2^i` such that at least `q` (0..=1) of the
-    /// samples fall below it — a coarse quantile for tail inspection.
-    ///
-    /// Returns 0 (not a bucket bound) for an empty histogram, and the
-    /// first non-empty bucket's bound for `q == 0.0`. Prefer
-    /// [`Histogram::quantile`] when the up-to-2× bucket rounding
-    /// matters.
-    pub fn quantile_bound(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        // `q == 0.0` still targets the first sample; without the max the
-        // target would be rank 0, satisfied by bucket 0 even when it is
-        // empty (returning the bogus bound 1 for a histogram that holds
-        // no small samples at all).
-        let target = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if n > 0 && seen >= target {
-                return if i >= 64 { u64::MAX } else { 1u64 << i };
-            }
-        }
-        u64::MAX
-    }
-
-    /// HDR-style quantile: locate the bucket holding the `q`-th sample,
-    /// then linearly interpolate within the bucket's `[2^(i-1), 2^i)`
+    /// HDR-style quantile: locate the bucket holding the sample
+    /// [`percentile_index`] ranks at `q`, then linearly interpolate within the bucket's `[2^(i-1), 2^i)`
     /// range, assuming samples spread uniformly inside it. Halves the
     /// worst case from "up to 2× high" (the bucket bound) to the
     /// sub-bucket resolution, and is exact for single-valued buckets
@@ -103,10 +87,10 @@ impl Histogram {
     ///
     /// Returns 0 for an empty histogram.
     pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
+        let Some(rank) = percentile_index(self.count as usize, q) else {
             return 0;
-        }
-        let target = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
+        };
+        let target = rank as u64 + 1;
         let mut seen = 0u64;
         for (i, &n) in self.buckets.iter().enumerate() {
             if n == 0 {
@@ -304,25 +288,44 @@ mod tests {
         assert_eq!(h.sum(), 1006);
         assert_eq!(h.max(), 1000);
         assert!((h.mean() - 201.2).abs() < 1e-9);
-        // 4 of 5 samples are <= 3 < 4: the 0.8 quantile bound is small.
-        assert!(h.quantile_bound(0.8) <= 4);
-        assert_eq!(h.quantile_bound(1.0), 1024, "1000 < 2^10");
     }
 
     #[test]
     fn quantile_empty_and_edge_cases() {
         let h = Histogram::default();
-        assert_eq!(h.quantile_bound(0.5), 0, "empty histogram reports 0");
-        assert_eq!(h.quantile(0.5), 0);
+        assert_eq!(h.quantile(0.5), 0, "empty histogram reports 0");
         assert_eq!(h.p50(), 0);
         assert_eq!(h.p99(), 0);
 
-        // q = 0.0 must target the first sample, not fall through to
-        // bucket 0's bound when bucket 0 is empty.
+        // q = 0.0 must target the first sample, not an empty bucket 0.
         let mut h = Histogram::default();
         h.observe(1000);
-        assert_eq!(h.quantile_bound(0.0), 1024);
         assert_eq!(h.quantile(0.0), h.quantile(1.0));
+    }
+
+    #[test]
+    fn percentile_index_rule() {
+        // (len, p, 0-based rank)
+        let rows: &[(usize, f64, Option<usize>)] = &[
+            (0, 0.5, None),     // empty
+            (1, 0.5, Some(0)),  // one sample is every percentile
+            (4, 0.5, Some(2)),  // even len: 1.5 rounds to the upper middle
+            (12, 0.5, Some(6)), // and 5.5 too (halves round away from 0)
+            (5, 0.5, Some(2)),  // odd len: the exact middle
+            (4, 0.0, Some(0)),  // p = 0 is the minimum
+            (5, 0.0, Some(0)),
+            (4, 1.0, Some(3)), // p = 1 is the maximum
+            (5, 1.0, Some(4)),
+            (100, 1.0, Some(99)),
+            (100, 0.99, Some(98)), // 98.01 rounds down
+            (100, 0.95, Some(94)), // 94.05 rounds down
+            (4, 0.99, Some(3)),    // 2.97 rounds up
+            (5, -0.5, Some(0)),    // p below 0 clamps to 0
+            (5, 7.0, Some(4)),     // p above 1 clamps to 1
+        ];
+        for &(len, p, rank) in rows {
+            assert_eq!(percentile_index(len, p), rank, "len {len}, p {p}");
+        }
     }
 
     #[test]
