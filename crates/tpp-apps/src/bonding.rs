@@ -24,12 +24,13 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use tpp_host::{
-    decode_echo, echo_reply, parse_echo, BondConfig, BondScheduler, ProbeBuilder, ProbeDelivery,
+    echo_reply, parse_echo, BondConfig, BondScheduler, HopWords, ProbeBuilder, ProbeDelivery,
     ProbeManager, RetryPolicy, DATA_ETHERTYPE,
 };
 use tpp_isa::programs;
 use tpp_netsim::{HostApp, HostCtx};
 use tpp_wire::ethernet::{build_frame, write_header, EtherType, Frame, ETHERNET_HEADER_LEN};
+use tpp_wire::tpp::TppPacket;
 use tpp_wire::EthernetAddress;
 
 const WORDS_PER_HOP: usize = programs::BONDING_WORDS_PER_HOP;
@@ -216,7 +217,8 @@ impl BondSender {
         }
     }
 
-    fn on_probe_echo(&mut self, frame: &[u8], ctx: &mut HostCtx<'_>) {
+    /// Act on one echoed probe, `tpp` being `frame`'s parsed TPP.
+    fn on_probe_echo(&mut self, frame: &[u8], tpp: TppPacket<&[u8]>, ctx: &mut HostCtx<'_>) {
         let Some(nonce) = ProbeManager::frame_nonce(frame) else {
             return;
         };
@@ -232,23 +234,19 @@ impl BondSender {
             ProbeDelivery::Duplicate { .. } | ProbeDelivery::NotAProbe => return,
         }
         self.nonce_path.remove(&nonce);
-        let Some(sample) = decode_echo(frame, ctx.mac(), WORDS_PER_HOP) else {
+        let Some(hops) = HopWords::new(&tpp, WORDS_PER_HOP) else {
             return;
         };
         self.echoes_received[path] += 1;
         let mut epoch_changed = false;
         let mut worst_queue = 0u64;
         let mut worst_util = 0u64;
-        for hop in &sample.hops {
-            if hop.words.len() < WORDS_PER_HOP {
-                continue;
-            }
-            let (switch_id, epoch) = (hop.words[0], hop.words[1]);
+        for [switch_id, epoch, queue, util] in hops.records() {
             if self.probes[path].note_epoch(switch_id, epoch, ctx) {
                 epoch_changed = true;
             }
-            worst_queue = worst_queue.max(hop.words[2] as u64);
-            worst_util = worst_util.max(hop.words[3] as u64);
+            worst_queue = worst_queue.max(queue as u64);
+            worst_util = worst_util.max(util as u64);
         }
         // Everything is stamped with arrival time — the instant the
         // scheduler actually learns it — so the health-event log is
@@ -276,7 +274,7 @@ impl HostApp for BondSender {
             // replacement (fanning out would multiply timer events).
             let path = ProbeManager::timer_port(token) as usize;
             if path < self.probes.len() {
-                for _nonce in self.probes[path].on_timer(ctx) {
+                for _ in 0..self.probes[path].on_timer(ctx) {
                     // Keep the nonce→path entry: if the echo still shows
                     // up (`Late`), it's a valid sample and a recovery
                     // hit. The manager's own dedup window bounds how
@@ -319,8 +317,8 @@ impl HostApp for BondSender {
     }
 
     fn on_frame(&mut self, frame: Vec<u8>, ctx: &mut HostCtx<'_>) {
-        if parse_echo(&frame, ctx.mac()).is_some() {
-            self.on_probe_echo(&frame, ctx);
+        if let Some(tpp) = parse_echo(&frame, ctx.mac()) {
+            self.on_probe_echo(&frame, tpp, ctx);
         } else if let Ok(parsed) = Frame::new_checked(&frame[..]) {
             let payload = parsed.payload();
             if payload.len() >= 12 && &payload[0..4] == ACK_MAGIC {

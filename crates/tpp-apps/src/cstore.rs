@@ -40,12 +40,17 @@
 //! program is correct on any multi-hop path (only the target switch
 //! executes the access). The `CEXEC` operand blocks sit at high packet-
 //! memory offsets (word 8+) so stack pushes never clobber them.
+//!
+//! The three programs depend only on the writer's guard cells, so they
+//! are assembled once, when the host starts; each probe rewrites just the
+//! packet-memory operands of its cached [`ProbeBuilder`].
 
 use tpp_host::{parse_echo, ProbeBuilder, ProbeDelivery, ProbeManager, RetryPolicy};
+use tpp_isa::assemble;
 #[cfg(test)]
 use tpp_isa::VirtAddr;
-use tpp_isa::{assemble, Assembler, SymbolTable};
 use tpp_netsim::{HostApp, HostCtx};
+use tpp_wire::tpp::WORD_SIZE;
 use tpp_wire::EthernetAddress;
 
 /// How the counter's write half is performed.
@@ -84,6 +89,48 @@ const TIMER_KICK: u64 = 1;
 /// only when the seq guard halted the program (op already consumed).
 const OLD_SENTINEL: u32 = 0xffff_ffff;
 
+const UNSTARTED: &str = "programs are built in on_start";
+
+/// The task's three probes, assembled for one writer's guard cells: the
+/// gated read of counter, guard cells and boot epoch (stack words 0..4,
+/// gate block at 8..10), the racy `STORE` of word 2, and the guarded
+/// increment op (module docs).
+#[derive(Debug)]
+struct Programs {
+    read: ProbeBuilder,
+    write: ProbeBuilder,
+    op: ProbeBuilder,
+}
+
+impl Programs {
+    fn new(counter_word: usize, writer: usize, gate: [u32; 2]) -> Self {
+        let counter = format!("Switch:Scratch[{counter_word}]");
+        let seq = format!("Switch:Scratch[{}]", counter_word + 1 + 2 * writer);
+        let res = format!("Switch:Scratch[{}]", counter_word + 2 + 2 * writer);
+        let probe =
+            |source: String| ProbeBuilder::stack(&assemble(&source).expect("static program"), 1);
+        let mut read_init = [0u32; 10];
+        read_init[8..10].copy_from_slice(&gate);
+        Programs {
+            read: probe(format!(
+                "CEXEC [Switch:SwitchID], [Packet:8]\n\
+                 PUSH [{counter}]\nPUSH [{seq}]\nPUSH [{res}]\nPUSH [Switch:BootEpoch]"
+            ))
+            .init_memory(&read_init),
+            write: probe(format!(
+                "CEXEC [Switch:SwitchID], [Packet:8]\nSTORE [{counter}], [Packet:2]"
+            )),
+            op: probe(format!(
+                "CEXEC [Switch:SwitchID], [Packet:8]\n\
+                 CEXEC [{seq}], [Packet:10]\n\
+                 STORE [{seq}], [Packet:2]\n\
+                 CSTORE [{counter}], [Packet:4]\n\
+                 STORE [{res}], [Packet:6]"
+            )),
+        }
+    }
+}
+
 /// A host that performs `goal` increments of a shared switch counter.
 #[derive(Debug)]
 pub struct CounterTask {
@@ -91,9 +138,9 @@ pub struct CounterTask {
     mode: CounterWriteMode,
     target_switch: u32,
     counter_word: usize,
-    counter_addr_text: String,
-    seq_addr_text: String,
-    res_addr_text: String,
+    /// Built in `on_start`, once the host id (and so the writer's guard
+    /// cells) is known.
+    programs: Option<Programs>,
     goal: u32,
     phase: Phase,
     /// Sequence number of the next increment op (1-based; the per-writer
@@ -123,9 +170,7 @@ impl CounterTask {
             mode,
             target_switch,
             counter_word: word,
-            counter_addr_text: format!("Switch:Scratch[{word}]"),
-            seq_addr_text: String::new(),
-            res_addr_text: String::new(),
+            programs: None,
             goal,
             phase: Phase::Idle,
             next_seq: 1,
@@ -150,47 +195,26 @@ impl CounterTask {
         self.probes.stats()
     }
 
-    fn asm(&self) -> Assembler {
-        Assembler::with_symbols(SymbolTable::new())
-    }
-
     fn gate_init(&self) -> [u32; 2] {
         [0xffff_ffff, self.target_switch]
     }
 
-    /// `CEXEC` gate + read of counter, guard cells, and boot epoch.
-    /// Stack pushes land at words 0..4; the gate block lives at 8..10.
+    /// Send the read probe; its init words never change.
     fn send_read(&mut self, recover: Option<(u32, u32)>, ctx: &mut HostCtx<'_>) {
-        let program = assemble(&format!(
-            "CEXEC [Switch:SwitchID], [Packet:8]\n\
-             PUSH [{counter}]\nPUSH [{seq}]\nPUSH [{res}]\nPUSH [Switch:BootEpoch]",
-            counter = self.counter_addr_text,
-            seq = self.seq_addr_text,
-            res = self.res_addr_text,
-        ))
-        .expect("static program");
-        let mut init = vec![0u32; 10];
-        init[8..10].copy_from_slice(&self.gate_init());
-        let probe = ProbeBuilder::stack(&program, 1).init_memory(&init);
-        let frame = probe.pooled_frame(ctx, self.dst, &[], 0);
+        let read = &self.programs.as_ref().expect(UNSTARTED).read;
+        let frame = read.pooled_frame(ctx, self.dst, &[], 0);
         self.probes.track(frame, ctx);
         self.phase = Phase::AwaitRead { recover };
     }
 
     /// Racy write: gate + unconditional `STORE` of `value`.
     fn send_write(&mut self, value: u32, ctx: &mut HostCtx<'_>) {
-        let program = self
-            .asm()
-            .assemble(&format!(
-                "CEXEC [Switch:SwitchID], [Packet:8]\nSTORE [{}], [Packet:2]",
-                self.counter_addr_text
-            ))
-            .expect("static program");
-        let mut init = vec![0u32; 10];
+        let mut init = [0u32; 10];
         init[2] = value;
         init[8..10].copy_from_slice(&self.gate_init());
-        let probe = ProbeBuilder::stack(&program, 1).init_memory(&init);
-        let frame = probe.pooled_frame(ctx, self.dst, &[], 0);
+        let write = &mut self.programs.as_mut().expect(UNSTARTED).write;
+        write.set_init_memory(&init);
+        let frame = write.pooled_frame(ctx, self.dst, &[], 0);
         self.probes.track(frame, ctx);
         self.phase = Phase::AwaitWrite {
             value_written: value,
@@ -201,20 +225,7 @@ impl CounterTask {
     /// durable outcome record (module docs). Every transmission of op
     /// `s` carries the same `(s, cond)`, so at most one copy executes.
     fn send_op(&mut self, s: u32, cond: u32, ctx: &mut HostCtx<'_>) {
-        let program = self
-            .asm()
-            .assemble(&format!(
-                "CEXEC [Switch:SwitchID], [Packet:8]\n\
-                 CEXEC [{seq}], [Packet:10]\n\
-                 STORE [{seq}], [Packet:2]\n\
-                 CSTORE [{counter}], [Packet:4]\n\
-                 STORE [{res}], [Packet:6]",
-                seq = self.seq_addr_text,
-                counter = self.counter_addr_text,
-                res = self.res_addr_text,
-            ))
-            .expect("static program");
-        let mut init = vec![0u32; 12];
+        let mut init = [0u32; 12];
         init[2] = s;
         init[4] = cond;
         init[5] = cond.wrapping_add(1);
@@ -222,8 +233,9 @@ impl CounterTask {
         init[8..10].copy_from_slice(&self.gate_init());
         init[10] = 0xffff_ffff;
         init[11] = s - 1;
-        let probe = ProbeBuilder::stack(&program, 1).init_memory(&init);
-        let frame = probe.pooled_frame(ctx, self.dst, &[], 0);
+        let op = &mut self.programs.as_mut().expect(UNSTARTED).op;
+        op.set_init_memory(&init);
+        let frame = op.pooled_frame(ctx, self.dst, &[], 0);
         self.probes.track(frame, ctx);
         self.phase = Phase::AwaitOp { seq: s, cond };
     }
@@ -252,9 +264,8 @@ impl HostApp for CounterTask {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
         // Per-writer guard cells above the shared counter word: hosts
         // never collide because host ids are unique.
-        let w = ctx.host_id().0;
-        self.seq_addr_text = format!("Switch:Scratch[{}]", self.counter_word + 1 + 2 * w);
-        self.res_addr_text = format!("Switch:Scratch[{}]", self.counter_word + 2 + 2 * w);
+        let gate = self.gate_init();
+        self.programs = Some(Programs::new(self.counter_word, ctx.host_id().0, gate));
         ctx.set_timer(1, TIMER_KICK);
     }
 
@@ -264,8 +275,7 @@ impl HostApp for CounterTask {
             return;
         }
         if ProbeManager::is_timer(token) {
-            let expired = self.probes.on_timer(ctx);
-            if expired.is_empty() || self.done() {
+            if self.probes.on_timer(ctx) == 0 || self.done() {
                 return;
             }
             // The current probe exhausted its retries. Reads and racy
@@ -303,13 +313,17 @@ impl CounterTask {
             return;
         };
         self.round_trips += 1;
-        let memory = tpp.memory_words();
-        let stack = tpp.stack_words();
+        // Packet-memory words are read in place; `sp` is clamped to
+        // memory as in `TppPacket::stack_words`.
+        let stack_words = tpp.sp().min(tpp.mem_len()) / WORD_SIZE;
+        let word = |i: usize| tpp.read_word(i * WORD_SIZE).ok();
         match self.phase {
             Phase::AwaitRead { recover } => {
                 // The gated pushes ran only on the target switch:
                 // [counter, seq, res, epoch].
-                let [counter_val, seq_val, res_val, epoch] = stack[..] else {
+                let (4, [Some(counter_val), Some(seq_val), Some(res_val), Some(epoch)]) =
+                    (stack_words, std::array::from_fn(word))
+                else {
                     // Short stack: the probe never executed cleanly.
                     self.send_read(recover, ctx);
                     return;
@@ -348,7 +362,7 @@ impl CounterTask {
                 self.advance(ctx);
             }
             Phase::AwaitOp { seq, cond } => {
-                let Some(&old) = memory.get(6) else {
+                let Some(old) = word(6) else {
                     self.send_read(Some((seq, cond)), ctx);
                     return;
                 };

@@ -18,7 +18,9 @@
 
 use std::collections::BTreeMap;
 
-use tpp_host::{decode_echo, ProbeBuilder, ProbeDelivery, ProbeManager, RetryPolicy};
+use tpp_host::{
+    parse_echo, send_stamp, HopWords, ProbeBuilder, ProbeDelivery, ProbeManager, RetryPolicy,
+};
 use tpp_isa::programs;
 use tpp_netsim::{HostApp, HostCtx};
 use tpp_wire::EthernetAddress;
@@ -120,7 +122,7 @@ impl HostApp for MicroburstMonitor {
         if ProbeManager::is_timer(token) {
             // Lost probes just leave a gap in the series; the next
             // interval re-samples.
-            let _ = self.probes.on_timer(ctx);
+            self.probes.on_timer(ctx);
             return;
         }
         if ctx.now() >= self.stop_ns {
@@ -151,29 +153,21 @@ impl MicroburstMonitor {
             // But one probe must contribute exactly one sample per hop.
             ProbeDelivery::Duplicate { .. } | ProbeDelivery::NotAProbe => return,
         }
-        let Some(sample) = decode_echo(frame, ctx.mac(), WORDS_PER_HOP) else {
+        let Some(tpp) = parse_echo(frame, ctx.mac()) else {
             return;
         };
-        // Recover the send-time stamp we embedded in the inner payload.
-        let t_ns = tpp_host::parse_echo(frame, ctx.mac())
-            .map(|tpp| {
-                let inner = tpp.inner_payload();
-                if inner.len() >= 8 {
-                    u64::from_be_bytes(inner[0..8].try_into().expect("8 bytes"))
-                } else {
-                    ctx.now()
-                }
-            })
-            .unwrap_or_else(|| ctx.now());
+        let Some(hops) = HopWords::new(&tpp, WORDS_PER_HOP) else {
+            return;
+        };
+        let t_ns = send_stamp(&tpp).unwrap_or_else(|| ctx.now());
         self.echoes_received += 1;
         self.rtts.push((t_ns, ctx.now().saturating_sub(t_ns)));
-        for hop in sample.hops {
-            self.samples.push(QueueSample {
+        self.samples
+            .extend(hops.records().map(|[switch_id, queue_bytes]| QueueSample {
                 t_ns,
-                switch_id: hop.words[0],
-                queue_bytes: hop.words[1],
-            });
-        }
+                switch_id,
+                queue_bytes,
+            }));
     }
 }
 

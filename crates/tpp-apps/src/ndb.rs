@@ -28,7 +28,7 @@
 
 use std::collections::BTreeMap;
 
-use tpp_host::{split_hops, ProbeBuilder, DATA_ETHERTYPE};
+use tpp_host::{HopWords, ProbeBuilder, DATA_ETHERTYPE};
 use tpp_isa::programs;
 use tpp_netsim::{HostApp, HostCtx};
 use tpp_wire::ethernet::Frame;
@@ -237,7 +237,7 @@ impl TraceCollector {
             self.undecodable += 1;
             return;
         };
-        let Some(sample) = split_hops(&tpp, NDB_WORDS_PER_HOP) else {
+        let Some(hops) = HopWords::new(&tpp, NDB_WORDS_PER_HOP) else {
             self.undecodable += 1;
             return;
         };
@@ -247,14 +247,13 @@ impl TraceCollector {
             return;
         }
         let packet_id = u32::from_be_bytes(inner[0..4].try_into().expect("4 bytes"));
-        let hops = sample
-            .hops
-            .iter()
-            .map(|h| NdbHop {
-                switch_id: h.words[0],
-                entry_id: h.words[1],
-                entry_version: h.words[2],
-                input_port: h.words[3],
+        let hops = hops
+            .records()
+            .map(|[switch_id, entry_id, entry_version, input_port]| NdbHop {
+                switch_id,
+                entry_id,
+                entry_version,
+                input_port,
             })
             .collect();
         self.traces.push(PathTrace {

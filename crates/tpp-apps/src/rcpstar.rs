@@ -39,8 +39,8 @@
 use std::collections::BTreeMap;
 
 use tpp_host::{
-    decode_echo, HopWords, PacedSender, ProbeBuilder, ProbeDelivery, ProbeManager, RetryPolicy,
-    RttEstimator,
+    parse_echo, send_stamp, HopWords, PacedSender, ProbeBuilder, ProbeDelivery, ProbeManager,
+    RetryPolicy, RttEstimator,
 };
 use tpp_isa::{Assembler, SymbolTable, VirtAddr};
 use tpp_netsim::{HostApp, HostCtx};
@@ -144,7 +144,7 @@ pub struct RateEcho {
 /// comes from the registers the TPP gathered, not from simulator
 /// ground truth.
 pub fn decode_rate_echo(frame: &[u8], my_mac: EthernetAddress) -> Option<RateEcho> {
-    let tpp = tpp_host::parse_echo(frame, my_mac)?;
+    let tpp = parse_echo(frame, my_mac)?;
     let hops = HopWords::new(&tpp, COLLECT_WORDS_PER_HOP)?;
     let inner = tpp.inner_payload();
     if inner.len() < 24 || inner[0..2] != [0xF1, 0xC7] {
@@ -152,36 +152,31 @@ pub fn decode_rate_echo(frame: &[u8], my_mac: EthernetAddress) -> Option<RateEch
     }
     let sent_ns = u64::from_be_bytes(inner[8..16].try_into().expect("length checked"));
     let key = u64::from_be_bytes(inner[16..24].try_into().expect("length checked"));
-    let mut rate_bps: Option<u64> = None;
-    let mut epochs = Vec::with_capacity(hops.hop_count());
-    for hop in 0..hops.hop_count() {
-        // Words: switch id, queue, rx bytes, capacity, rate register,
-        // timestamp, boot epoch (see `collect_source`).
-        let (sid, cap_kbps, reg_kbps, epoch) = (
-            hops.word(hop, 0),
-            hops.word(hop, 3),
-            hops.word(hop, 4),
-            hops.word(hop, 6),
-        );
-        epochs.push((sid, epoch));
-        let cap = cap_kbps as u64 * 1_000;
-        if cap == 0 {
-            continue;
-        }
-        // A wiped (rebooted) register reads 0: fall back to capacity.
-        let reg = if reg_kbps == 0 {
-            cap
-        } else {
-            reg_kbps as u64 * 1_000
-        };
-        rate_bps = Some(rate_bps.map_or(reg, |r| r.min(reg)));
-    }
     Some(RateEcho {
-        rate_bps: rate_bps?,
+        rate_bps: path_rate_bps(hops)?,
         key,
         sent_ns,
-        epochs,
+        epochs: hops
+            .records()
+            .map(|[sid, _, _, _, _, _, epoch]| (sid, epoch))
+            .collect(),
     })
+}
+
+/// The minimum over a collect echo's hops of the RCP fair-share
+/// register, bits/s. Hops reporting no capacity are skipped, and a
+/// wiped (rebooted) register reads 0, so capacity stands in for it
+/// rather than stalling the flow. Words per hop: switch id, queue, rx
+/// bytes, capacity, rate register, timestamp, boot epoch (see
+/// `collect_source`).
+fn path_rate_bps(hops: HopWords<'_>) -> Option<u64> {
+    hops.records()
+        .filter_map(|[_, _, _, cap_kbps, reg_kbps, _, _]| {
+            let cap = u64::from(cap_kbps) * 1_000;
+            let reg = u64::from(reg_kbps) * 1_000;
+            (cap > 0).then_some(if reg == 0 { cap } else { reg })
+        })
+        .min()
 }
 
 /// Configuration of one RCP\* flow.
@@ -274,7 +269,8 @@ pub struct RcpStarSender {
     dst: EthernetAddress,
     sender: PacedSender,
     collect_probe: ProbeBuilder,
-    update_asm: Assembler,
+    /// Phase-3 update TPP; each update rewrites only its operands.
+    update_probe: ProbeBuilder,
     rtt: RttEstimator,
     probes: ProbeManager,
     /// Keyed by hop index (stable for a fixed path).
@@ -286,8 +282,6 @@ pub struct RcpStarSender {
     pub feedback_count: u64,
     /// Update TPPs sent.
     pub updates_sent: u64,
-    /// Raw words of the most recent collect echo, per hop (diagnostics).
-    pub debug_last_hops: Vec<Vec<u32>>,
     /// When the flow finished sending its `stop_after_bytes` (ns).
     pub completed_at: Option<u64>,
     running: bool,
@@ -300,6 +294,13 @@ impl RcpStarSender {
         let collect = asm
             .assemble(&collect_source(config.y_from_byte_counter))
             .expect("static program");
+        let update = asm
+            .assemble(
+                "CEXEC [Switch:SwitchID], [Packet:0]\n\
+                 STORE [Link:RCP-RateRegister], [Packet:2]\n\
+                 STORE [Link:RCP-Timestamp], [Packet:3]",
+            )
+            .expect("static program");
         RcpStarSender {
             sender: PacedSender::new(
                 dst,
@@ -308,7 +309,7 @@ impl RcpStarSender {
                 config.start_ns,
             ),
             collect_probe: ProbeBuilder::stack(&collect, config.expected_hops),
-            update_asm: asm,
+            update_probe: ProbeBuilder::stack(&update, 1),
             rtt: RttEstimator::new(),
             // Periodic probes are never re-sent — the next control round
             // supersedes them — but the nonce layer still dedups echoes
@@ -322,7 +323,6 @@ impl RcpStarSender {
             rate_trace: Vec::new(),
             feedback_count: 0,
             updates_sent: 0,
-            debug_last_hops: Vec::new(),
             completed_at: None,
             running: false,
             config,
@@ -397,38 +397,24 @@ impl RcpStarSender {
 
     /// Phases 2 + 3, on a collect echo.
     fn on_feedback(&mut self, frame: &[u8], ctx: &mut HostCtx<'_>) {
-        let Some(sample) = decode_echo(frame, ctx.mac(), COLLECT_WORDS_PER_HOP) else {
+        let Some(tpp) = parse_echo(frame, ctx.mac()) else {
             return;
         };
-        // RTT from the echoed timestamp we embedded in the inner payload.
-        if let Some(tpp) = tpp_host::parse_echo(frame, ctx.mac()) {
-            let inner = tpp.inner_payload();
-            if inner.len() >= 8 {
-                let sent = u64::from_be_bytes(inner[0..8].try_into().expect("8 bytes"));
-                self.rtt.on_sample(ctx.now().saturating_sub(sent));
-            }
+        let Some(hops) = HopWords::new(&tpp, COLLECT_WORDS_PER_HOP) else {
+            return;
+        };
+        if let Some(sent) = send_stamp(&tpp) {
+            self.rtt.on_sample(ctx.now().saturating_sub(sent));
         }
-        if sample.hops.is_empty() {
+        if hops.hop_count() == 0 {
             return;
         }
         self.feedback_count += 1;
-        self.debug_last_hops = sample.hops.iter().map(|h| h.words.clone()).collect();
 
         if !self.config.compute_updates {
             // Native-router mode: the register already holds the fair
             // share; just obey the path minimum.
-            let r_min = sample
-                .hops
-                .iter()
-                .filter_map(|h| {
-                    let cap = h.words.get(3).copied()? as u64 * 1_000;
-                    let reg = h.words.get(4).copied()? as u64 * 1_000;
-                    // A wiped (rebooted) register reads 0: fall back to
-                    // capacity rather than stalling the flow.
-                    (cap > 0).then_some(if reg == 0 { cap } else { reg })
-                })
-                .min();
-            if let Some(r) = r_min {
+            if let Some(r) = path_rate_bps(hops) {
                 self.sender.set_rate_bps(r.max(1_000), ctx.now());
                 self.rate_trace.push((ctx.now(), r));
                 if !self.running {
@@ -446,11 +432,9 @@ impl RcpStarSender {
         // or the loop gain T/d exceeds 1 and the rate limit-cycles.
         let rtt_s = (self.rtt.srtt_or(self.config.initial_rtt_ns) as f64 / 1e9).max(period_s);
         let now = ctx.now();
-        for hop in &sample.hops {
-            let [sid, q_bytes, rx_bytes, cap_kbps, reg_kbps, reg_ts_us, epoch] = hop.words[..7]
-            else {
-                continue;
-            };
+        for (hop, [sid, q_bytes, rx_bytes, cap_kbps, reg_kbps, reg_ts_us, epoch]) in
+            hops.records().enumerate()
+        {
             let capacity_bps = cap_kbps as f64 * 1e3;
             if capacity_bps <= 0.0 {
                 continue;
@@ -459,13 +443,13 @@ impl RcpStarSender {
                 // The switch rebooted and lost its SRAM: the cached view
                 // (byte-counter baseline, EWMAs) describes the previous
                 // boot. Drop it and re-seed from this echo.
-                self.links.remove(&hop.hop);
+                self.links.remove(&hop);
             }
             // A zero rate register is wiped state (the control plane
             // seeds it to capacity at boot, §2.2 footnote 3): re-seed
             // the control law from capacity, exactly like a fresh start.
             let reg_kbps = if reg_kbps == 0 { cap_kbps } else { reg_kbps };
-            let view = self.links.entry(hop.hop).or_insert(LinkView {
+            let view = self.links.entry(hop).or_insert(LinkView {
                 switch_id: sid,
                 capacity_bps,
                 q_ewma_bytes: q_bytes as f64,
@@ -535,22 +519,10 @@ impl RcpStarSender {
             return;
         };
         let r_kbps = (r_min_bps / 1e3).round().max(1.0) as u32;
-        let update = self
-            .update_asm
-            .assemble(
-                "CEXEC [Switch:SwitchID], [Packet:0]\n\
-                 STORE [Link:RCP-RateRegister], [Packet:2]\n\
-                 STORE [Link:RCP-Timestamp], [Packet:3]",
-            )
-            .expect("static program");
         let now_us = (ctx.now() / 1_000) as u32;
-        let probe = ProbeBuilder::stack(&update, 1).init_memory(&[
-            0xffff_ffff,
-            bottleneck_sid,
-            r_kbps,
-            now_us,
-        ]);
-        let frame = probe.pooled_frame(ctx, self.dst, &[], 0);
+        self.update_probe
+            .set_init_memory(&[0xffff_ffff, bottleneck_sid, r_kbps, now_us]);
+        let frame = self.update_probe.pooled_frame(ctx, self.dst, &[], 0);
         self.probes.track(frame, ctx);
         self.updates_sent += 1;
 
@@ -580,7 +552,7 @@ impl HostApp for RcpStarSender {
             t if ProbeManager::is_timer(t) => {
                 // Expired probes are only counted (stats.timeouts): the
                 // periodic control loop re-probes on its own schedule.
-                let _ = self.probes.on_timer(ctx);
+                self.probes.on_timer(ctx);
             }
             _ => {}
         }

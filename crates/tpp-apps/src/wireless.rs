@@ -12,7 +12,7 @@
 //! `Queue:QueueSize` can. [`LinkHealthMonitor`] probes both per packet;
 //! [`classify_loss`] attributes each loss epoch.
 
-use tpp_host::{decode_echo, ProbeBuilder};
+use tpp_host::{parse_echo, send_stamp, HopWords, ProbeBuilder};
 use tpp_isa::programs;
 use tpp_netsim::{HostApp, HostCtx};
 use tpp_wire::EthernetAddress;
@@ -100,25 +100,24 @@ impl HostApp for LinkHealthMonitor {
 impl LinkHealthMonitor {
     /// Record the samples of one received frame, if it is an echo.
     fn on_echo(&mut self, frame: &[u8], my_mac: EthernetAddress, now: u64) {
-        let Some(sample) = decode_echo(frame, my_mac, WORDS_PER_HOP) else {
+        let Some(tpp) = parse_echo(frame, my_mac) else {
             return;
         };
-        let t_ns = tpp_host::parse_echo(frame, my_mac)
-            .and_then(|tpp| {
-                let inner = tpp.inner_payload();
-                (inner.len() >= 8)
-                    .then(|| u64::from_be_bytes(inner[0..8].try_into().expect("8 bytes")))
-            })
-            .unwrap_or(now);
+        let Some(hops) = HopWords::new(&tpp, WORDS_PER_HOP) else {
+            return;
+        };
+        let t_ns = send_stamp(&tpp).unwrap_or(now);
         self.echoes_received += 1;
-        for hop in sample.hops {
-            self.samples.push(HealthSample {
-                t_ns,
-                switch_id: hop.words[0],
-                snr_decidb: hop.words[1],
-                queue_bytes: hop.words[2],
-            });
-        }
+        self.samples
+            .extend(
+                hops.records()
+                    .map(|[switch_id, snr_decidb, queue_bytes]| HealthSample {
+                        t_ns,
+                        switch_id,
+                        snr_decidb,
+                        queue_bytes,
+                    }),
+            );
     }
 }
 

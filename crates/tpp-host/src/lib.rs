@@ -43,8 +43,8 @@ pub mod widequery;
 pub use bonding::{BondConfig, BondScheduler, HealthEvent, PathHealth};
 pub use manager::{ProbeDelivery, ProbeManager, ProbeStats, RetryPolicy, PROBE_TIMER_TOKEN};
 pub use pacing::{PacedSender, TokenBucket};
-pub use probe::parse_echo;
 pub use probe::{echo_reply, ProbeBuilder, DATA_ETHERTYPE};
+pub use probe::{parse_echo, send_stamp};
 pub use rtt::RttEstimator;
 pub use telemetry::{decode_echo, split_hops, HopView, HopWords, PathSample};
 pub use transport::{

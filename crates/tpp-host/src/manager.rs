@@ -164,10 +164,14 @@ pub struct ProbeManager {
     nonce_counter: u64,
     outstanding: BTreeMap<u64, Outstanding>,
     expired: BTreeSet<u64>,
-    completed: BTreeSet<u64>,
-    completed_order: VecDeque<u64>,
+    /// The last [`COMPLETED_MEMORY`] answered nonces, oldest first (a
+    /// manager never repeats a nonce). Searched only for echoes that are
+    /// not outstanding, so answering a probe does not allocate.
+    completed: VecDeque<u64>,
     epochs: BTreeMap<u32, u32>,
     armed_until: Option<u64>,
+    /// Reused list of the nonces due in [`ProbeManager::on_timer`].
+    due: Vec<u64>,
     trace: Option<SharedSink>,
     stats: ProbeStats,
 }
@@ -317,20 +321,22 @@ impl ProbeManager {
     }
 
     /// Service the retry clock: re-send due probes, expire exhausted
-    /// ones. Returns the nonces that gave up (the app decides whether to
+    /// ones. Returns how many gave up (the app decides whether to
     /// re-issue a fresh probe). Call from `on_timer` when
     /// [`ProbeManager::is_timer`] matches.
-    pub fn on_timer(&mut self, ctx: &mut HostCtx<'_>) -> Vec<u64> {
+    pub fn on_timer(&mut self, ctx: &mut HostCtx<'_>) -> usize {
         self.armed_until = None;
         let now = ctx.now();
-        let due: Vec<u64> = self
-            .outstanding
-            .iter()
-            .filter(|(_, o)| o.deadline_ns <= now)
-            .map(|(n, _)| *n)
-            .collect();
-        let mut expired = Vec::new();
-        for nonce in due {
+        let mut due = std::mem::take(&mut self.due);
+        due.clear();
+        due.extend(
+            self.outstanding
+                .iter()
+                .filter(|(_, o)| o.deadline_ns <= now)
+                .map(|(n, _)| *n),
+        );
+        let mut expired = 0;
+        for &nonce in &due {
             let o = self.outstanding.get_mut(&nonce).expect("due nonce");
             if o.attempt < self.policy.max_retries {
                 o.attempt += 1;
@@ -363,9 +369,10 @@ impl ProbeManager {
                     0,
                     TraceEventKind::ProbeTimeout { nonce, retries },
                 );
-                expired.push(nonce);
+                expired += 1;
             }
         }
+        self.due = due;
         if let Some(next) = self.outstanding.values().map(|o| o.deadline_ns).min() {
             self.arm(next, ctx);
         }
@@ -415,14 +422,10 @@ impl ProbeManager {
     }
 
     fn remember_completed(&mut self, nonce: u64) {
-        if self.completed.insert(nonce) {
-            self.completed_order.push_back(nonce);
-            if self.completed_order.len() > COMPLETED_MEMORY {
-                if let Some(old) = self.completed_order.pop_front() {
-                    self.completed.remove(&old);
-                }
-            }
+        if self.completed.len() == COMPLETED_MEMORY {
+            self.completed.pop_front();
         }
+        self.completed.push_back(nonce);
     }
 
     fn emit(&mut self, t_ns: u64, switch_id: u32, kind: TraceEventKind) {
@@ -483,7 +486,7 @@ mod tests {
 
         fn on_timer(&mut self, token: u64, ctx: &mut HostCtx<'_>) {
             if ProbeManager::is_timer(token) {
-                self.expired += self.mgr.on_timer(ctx).len() as u32;
+                self.expired += self.mgr.on_timer(ctx) as u32;
             }
         }
 

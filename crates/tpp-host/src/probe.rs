@@ -67,8 +67,16 @@ impl ProbeBuilder {
     /// Memory is extended if the initializer is longer than the
     /// preallocation.
     pub fn init_memory(mut self, words: &[u32]) -> Self {
-        self.init = words.to_vec();
+        self.set_init_memory(words);
         self
+    }
+
+    /// Replace the init words in place, reusing their buffer: a task
+    /// that re-sends one program with new operands keeps a single
+    /// builder and rewrites only these words per probe.
+    pub fn set_init_memory(&mut self, words: &[u32]) {
+        self.init.clear();
+        self.init.extend_from_slice(words);
     }
 
     /// Total packet-memory words the probe will carry.
@@ -195,6 +203,13 @@ pub fn parse_echo(frame: &[u8], my_mac: EthernetAddress) -> Option<TppPacket<&[u
         return None;
     }
     Some(tpp)
+}
+
+/// The send-time stamp a periodic prober put in the first 8 bytes of
+/// its probe's inner payload, read back from the echo.
+pub fn send_stamp<T: AsRef<[u8]>>(tpp: &TppPacket<T>) -> Option<u64> {
+    let stamp = tpp.inner_payload().get(..8)?;
+    Some(u64::from_be_bytes(stamp.try_into().expect("8 bytes")))
 }
 
 #[cfg(test)]

@@ -13,8 +13,9 @@ use tpp_wire::EthernetAddress;
 /// records of `words_per_hop` words, read straight from packet memory.
 ///
 /// [`HopWords::new`] holds the one validation rule every decoder
-/// shares; [`split_hops`] copies the view into an owned [`PathSample`],
-/// while per-packet decoders read words through [`HopWords::word`].
+/// shares. Per-packet decoders (the end-host apps) read hops in place
+/// through [`HopWords::records`]; [`split_hops`] copies the view into an
+/// owned [`PathSample`] for tests, examples and wide queries.
 #[derive(Debug, Clone, Copy)]
 pub struct HopWords<'a> {
     stack: &'a [u8],
@@ -59,9 +60,11 @@ impl<'a> HopWords<'a> {
         u32::from_be_bytes(self.stack[at..at + WORD_SIZE].try_into().expect("one word"))
     }
 
-    /// The words of hop `hop`, copied out.
-    fn hop_words(&self, hop: usize) -> Vec<u32> {
-        (0..self.words_per_hop).map(|i| self.word(hop, i)).collect()
+    /// Every hop's record as an `N`-word array, in path order. Panics
+    /// unless `N` is the view's words per hop.
+    pub fn records<const N: usize>(self) -> impl Iterator<Item = [u32; N]> + 'a {
+        assert_eq!(N, self.words_per_hop, "record width");
+        (0..self.hop_count()).map(move |hop| std::array::from_fn(|i| self.word(hop, i)))
     }
 }
 
@@ -130,7 +133,7 @@ pub fn split_hops<T: AsRef<[u8]>>(tpp: &TppPacket<T>, words_per_hop: usize) -> O
     let hops = (0..hop_count)
         .map(|hop| HopView {
             hop,
-            words: view.hop_words(hop),
+            words: (0..words_per_hop).map(|i| view.word(hop, i)).collect(),
         })
         .collect();
     Some(PathSample { hops, hop_count })
